@@ -9,11 +9,11 @@
 //! [`ExecTier::CompiledCopyElim`] is ActivePy's generated host code.
 
 use crate::error::Result;
-use activepy::exec::{execute_all_host_with, RunReport};
+use activepy::exec::{execute, ExecOptions, RunReport};
 use activepy::sampling::observe_dataset_types;
 use alang::copyelim::eliminable_lines;
-use alang::{CostParams, ExecBackend, ExecTier};
-use csd_sim::SystemConfig;
+use alang::{ExecBackend, ExecTier};
+use csd_sim::{EngineKind, SystemConfig};
 use isp_workloads::Workload;
 
 /// Runs `workload` entirely on the host at the given code `tier` using the
@@ -54,15 +54,22 @@ pub fn run_host_only_with(
         }
         _ => vec![false; program.len()],
     };
-    let mut system = config.build();
-    let report = execute_all_host_with(
-        &program,
-        &storage,
-        &mut system,
+    let lowered = alang::lower::lower_with(&program, &copy_elim)?;
+    let opts = ExecOptions {
         tier,
-        &CostParams::paper_default(),
-        &copy_elim,
         backend,
+        offload_overheads: false,
+        ..ExecOptions::native_static()
+    };
+    let report = execute(
+        &program,
+        &lowered,
+        &storage,
+        &vec![EngineKind::Host; program.len()],
+        None,
+        None,
+        &mut config.build(),
+        &opts,
     )?;
     Ok(report)
 }

@@ -15,7 +15,6 @@
 
 use crate::error::{BaselineError, Result};
 use activepy::exec::{execute, ExecOptions, RunReport};
-use alang::CostParams;
 use csd_sim::contention::ContentionScenario;
 use csd_sim::{EngineKind, SystemConfig};
 use isp_workloads::Workload;
@@ -60,6 +59,8 @@ pub fn best_static_plan(workload: &Workload, config: &SystemConfig) -> Result<Of
     if n == 0 {
         return Err(BaselineError::search("cannot plan an empty program"));
     }
+    let lowered = alang::lower::lower(&program)?;
+    let opts = ExecOptions::native_static();
     let mut best: Option<OffloadPlan> = None;
     let mut candidates: Vec<Option<(usize, usize)>> = vec![None];
     for i in 0..n {
@@ -74,16 +75,15 @@ pub fn best_static_plan(workload: &Workload, config: &SystemConfig) -> Result<Of
                 _ => EngineKind::Host,
             })
             .collect();
-        let mut system = config.build();
-        let opts = ExecOptions::native_static();
         let report = execute(
             &program,
+            &lowered,
             &storage,
             &placements,
-            &mut system,
-            &opts,
             None,
-            &[],
+            None,
+            &mut config.build(),
+            &opts,
         )?;
         let candidate = OffloadPlan {
             placements,
@@ -121,31 +121,15 @@ pub fn run_plan(
             program.len()
         )));
     }
-    let storage = workload.storage_at(1.0);
-    let mut system = config.build();
-    let opts = ExecOptions {
-        tier: alang::ExecTier::Native,
-        params: CostParams::paper_default(),
-        scenario,
-        monitor: None,
-        offload_overheads: true,
-        preempt_at: None,
-        backend: alang::ExecBackend::default(),
-        recovery: activepy::RecoveryPolicy::default(),
-        faults: csd_sim::fault::FaultPlan::none(),
-        parallel: alang::ParallelPolicy::default(),
-        tracer: isp_obs::Tracer::disabled(),
-        profile: activepy::ProfileRecorder::disabled(),
-        journal: activepy::ExecJournal::disabled(),
-    };
     let report = execute(
         &program,
-        &storage,
+        &alang::lower::lower(&program)?,
+        &workload.storage_at(1.0),
         &plan.placements,
-        &mut system,
-        &opts,
         None,
-        &[],
+        None,
+        &mut config.build(),
+        &ExecOptions::native_static().with_scenario(scenario),
     )?;
     Ok(report)
 }

@@ -14,10 +14,9 @@
 //! projected — end-to-end latency.
 
 use activepy::assign::{assign, assign_greedy, assign_optimal, assign_refined, Assignment};
-use activepy::exec::{execute_lowered, ExecOptions};
+use activepy::exec::{execute, ExecOptions};
 use activepy::runtime::ActivePy;
 use activepy::{OffloadPlan, PlanCache};
-use alang::{CostParams, ExecBackend, ExecTier};
 use csd_sim::SystemConfig;
 use serde::Serialize;
 
@@ -42,32 +41,17 @@ pub struct Row {
 /// program and already-materialized full-scale input (the old path
 /// re-parsed and re-generated both for every variant).
 fn measure(plan: &OffloadPlan, config: &SystemConfig, assignment: &Assignment) -> f64 {
-    let mut system = config.build();
-    let opts = ExecOptions {
-        tier: ExecTier::CompiledCopyElim,
-        params: CostParams::paper_default(),
-        scenario: csd_sim::ContentionScenario::none(),
-        monitor: None,
-        offload_overheads: true,
-        preempt_at: None,
-        backend: ExecBackend::Vm,
-        recovery: activepy::RecoveryPolicy::default(),
-        faults: csd_sim::fault::FaultPlan::none(),
-        parallel: alang::ParallelPolicy::default(),
-        tracer: isp_obs::Tracer::disabled(),
-        profile: activepy::ProfileRecorder::disabled(),
-        journal: activepy::ExecJournal::disabled(),
-    };
     let placements = assignment.placements(plan.program.len());
     // The plan carries the lowered bytecode; all four variants reuse it.
-    execute_lowered(
+    execute(
         &plan.program,
         &plan.lowered,
         &plan.full_storage,
         &placements,
-        &mut system,
-        &opts,
         None,
+        None,
+        &mut config.build(),
+        &ExecOptions::activepy().without_migration(),
     )
     .expect("plan executes")
     .total_secs

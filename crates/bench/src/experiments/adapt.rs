@@ -21,7 +21,7 @@
 //! `values_fingerprint`, and the sweep counts any divergence.
 
 use activepy::runtime::{ActivePy, ActivePyOptions};
-use activepy::{Assignment, MigrationCause, OffloadPlan, PlanCache};
+use activepy::{Assignment, MigrationReason, OffloadPlan, PlanCache};
 use csd_sim::units::SimTime;
 use csd_sim::{ContentionScenario, SystemConfig};
 use serde::Serialize;
@@ -97,7 +97,7 @@ pub struct Report {
 }
 
 /// Counts migrations with `reason` across an outcome's migration log.
-fn count_migrations(outcome: &activepy::ActivePyOutcome, reason: MigrationCause) -> u64 {
+fn count_migrations(outcome: &activepy::ActivePyOutcome, reason: MigrationReason) -> u64 {
     outcome
         .report
         .migrations
@@ -201,10 +201,10 @@ fn run_workload(w: &isp_workloads::Workload, config: &SystemConfig) -> Row {
         static_regret: static_run.report.total_secs - oracle_secs,
         replanned_regret: replanned.report.total_secs - oracle_secs,
         refits: cache.stats().refits,
-        degraded_migrations: count_migrations(&monitored, MigrationCause::Degraded)
-            + count_migrations(&replanned, MigrationCause::Degraded),
-        reclaim_migrations: count_migrations(&monitored, MigrationCause::Reclaim)
-            + count_migrations(&replanned, MigrationCause::Reclaim),
+        degraded_migrations: count_migrations(&monitored, MigrationReason::Degraded)
+            + count_migrations(&replanned, MigrationReason::Degraded),
+        reclaim_migrations: count_migrations(&monitored, MigrationReason::Reclaim)
+            + count_migrations(&replanned, MigrationReason::Reclaim),
         values_match,
     }
 }

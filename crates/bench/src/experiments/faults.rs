@@ -8,11 +8,11 @@
 //! at 50 % of the workload's CSD progress. The runtime is expected to
 //! retry the transients with sim-time backoff and to recover the crash
 //! through a checkpointed migration to the host
-//! ([`MigrationCause::DeviceFault`]), so every row must report
+//! ([`MigrationReason::DeviceFault`]), so every row must report
 //! `values_match == true`.
 
 use activepy::runtime::{ActivePy, ActivePyOptions};
-use activepy::{MigrationCause, PlanCache};
+use activepy::{MigrationReason, PlanCache};
 use csd_sim::fault::FaultPlan;
 use csd_sim::units::{Duration, SimTime};
 use csd_sim::{ContentionScenario, SystemConfig};
@@ -55,7 +55,7 @@ pub struct Row {
     /// Migrations caused by device faults.
     pub fault_migrations: u64,
     /// Whether the faulted run fell back to the host via
-    /// [`MigrationCause::DeviceFault`].
+    /// [`MigrationReason::DeviceFault`].
     pub fault_migrated: bool,
     /// Whether the faulted run produced a byte-identical answer
     /// (values fingerprints equal). Must always be `true`.
@@ -125,7 +125,7 @@ fn run_workload(w: &isp_workloads::Workload, config: &SystemConfig, cache: &Plan
                 fault_migrated: faulted
                     .report
                     .migration
-                    .is_some_and(|m| m.reason == MigrationCause::DeviceFault),
+                    .is_some_and(|m| m.reason == MigrationReason::DeviceFault),
                 values_match: faulted.report.values_fingerprint
                     == reference.report.values_fingerprint,
             }

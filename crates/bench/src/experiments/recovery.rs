@@ -107,8 +107,18 @@ pub fn run_once(journal: ExecJournal) -> RunReport {
     let opts = ExecOptions::activepy()
         .with_faults(faults())
         .with_journal(journal);
-    execute(&program, &st, &PLACEMENTS, &mut system, &opts, None, &[])
-        .expect("recovery workload executes")
+    let lowered = alang::lower::lower(&program).expect("recovery workload lowers");
+    execute(
+        &program,
+        &lowered,
+        &st,
+        &PLACEMENTS,
+        None,
+        None,
+        &mut system,
+        &opts,
+    )
+    .expect("recovery workload executes")
 }
 
 /// The `recovery` section of BENCH_repro.json.

@@ -79,7 +79,7 @@ pub use audit::{
 };
 pub use error::ActivePyError;
 pub use estimate::{Calibration, LineEstimate};
-pub use exec::{ExecOptions, MigrationCause, MigrationReason, RunReport};
+pub use exec::{ExecOptions, MigrationReason, RunReport};
 pub use metrics::{AuditStats, MetricsSnapshot};
 pub use monitor::MonitorConfig;
 pub use plan::{OffloadPlan, PlanCache, PlanCacheStats, PlanTimings};
@@ -89,8 +89,8 @@ pub use resume::{plan_fingerprint, ExecJournal, JournalStats, ResumeInfo};
 pub use runtime::{ActivePy, ActivePyOptions, ActivePyOutcome};
 pub use sampling::InputSource;
 pub use shard::{
-    derive_sharded_plan, execute_sharded, execute_sharded_plan, execute_sharded_raw, FleetReport,
-    FleetRun, ShardRunReport, ShardedPlan,
+    derive_sharded_plan, execute_sharded, execute_sharded_plan, FleetReport, FleetRun,
+    ShardRunReport, ShardedPlan,
 };
 
 #[cfg(test)]

@@ -122,7 +122,7 @@ impl RecoveryPolicy {
 }
 
 /// Counters a run's recovery layer accumulates; reported on
-/// [`RunReport::recovery`](crate::exec::RunReport::recovery).
+/// `metrics.recovery` of [`RunReport`](crate::exec::RunReport).
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct RecoveryStats {
     /// Transient faults absorbed (each injected transient fault counts

@@ -145,14 +145,16 @@ mod tests {
         st.insert("v", Value::Array(ArrayVal::with_logical(data, 100_000_000)));
         let mut sys = SystemConfig::paper_default().build();
         let placements = vec![EngineKind::Cse, EngineKind::Cse, EngineKind::Host];
+        let lowered = alang::lower::lower(&program).expect("lower");
         let report = execute(
             &program,
+            &lowered,
             &st,
             &placements,
+            None,
+            None,
             &mut sys,
             &ExecOptions::native_static(),
-            None,
-            &[],
         )
         .expect("run");
         (program, report)

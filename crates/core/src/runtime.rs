@@ -13,7 +13,7 @@ use std::time::Instant;
 use crate::assign::{assign_refined_traced, projected_cost, Assignment};
 use crate::error::Result;
 use crate::estimate::{estimate_lines, Calibration, LineEstimate};
-use crate::exec::{execute, execute_lowered, ExecOptions, RunReport};
+use crate::exec::{execute, ExecOptions, RunReport};
 use crate::fit::{blend_predictions, predict_lines, LinePrediction};
 use crate::monitor::MonitorConfig;
 use crate::plan::{OffloadPlan, PlanTimings};
@@ -368,13 +368,7 @@ impl ActivePy {
         //    reuses the bytecode.
         let span = tracer.begin("phase.compile", SpanKind::Phase, None);
         let lowered = alang::lower::lower_with(program, &copy_elim)?;
-        let csd_line_count = assignment.csd_lines.len();
-        let compile_secs = CompiledProgram::compile_secs_for(program.len())
-            + if csd_line_count > 0 {
-                CompiledProgram::compile_secs_for(csd_line_count)
-            } else {
-                0.0
-            };
+        let compile_secs = plan_compile_secs(program, &assignment);
         tracer.end_with(
             span,
             None,
@@ -455,17 +449,11 @@ impl ActivePy {
                 t_csd: prior_cost,
             };
         }
-        let csd_line_count = assignment.csd_lines.len();
-        let compile_secs = CompiledProgram::compile_secs_for(prior.program.len())
-            + if csd_line_count > 0 {
-                CompiledProgram::compile_secs_for(csd_line_count)
-            } else {
-                0.0
-            };
+        let compile_secs = plan_compile_secs(&prior.program, &assignment);
         tracer.end_with(
             span,
             None,
-            vec![("csd_lines".into(), csd_line_count.into())],
+            vec![("csd_lines".into(), assignment.csd_lines.len().into())],
         );
         let eq1 = crate::audit::capture_terms(&estimates, &assignment, bw, 1);
         Ok(OffloadPlan {
@@ -511,21 +499,7 @@ impl ActivePy {
                 ],
             );
         }
-        let opts = ExecOptions {
-            tier: ExecTier::CompiledCopyElim,
-            params: self.options.params,
-            scenario,
-            monitor: self.options.monitor,
-            offload_overheads: true,
-            preempt_at: self.options.preempt_at,
-            backend: self.options.backend,
-            recovery: self.options.recovery,
-            faults: self.options.faults.clone(),
-            parallel: self.options.parallel,
-            tracer: self.options.tracer.clone(),
-            profile: self.options.profile.clone(),
-            journal: self.options.journal.clone(),
-        };
+        let opts = ExecOptions::from_runtime(&self.options, scenario);
         // Journal the plan identity before executing: a resume against a
         // different plan (changed program, drifted fit) is detected at
         // the very first record rather than at some divergent boundary.
@@ -535,27 +509,17 @@ impl ActivePy {
             shard_fp: 0,
         })?;
         let placements = plan.assignment.placements(plan.program.len());
-        let mut report = match self.options.backend {
-            // The plan carries the lowering; don't re-lower per scenario.
-            ExecBackend::Vm => execute_lowered(
-                &plan.program,
-                &plan.lowered,
-                &plan.full_storage,
-                &placements,
-                &mut system,
-                &opts,
-                Some(&plan.estimates),
-            )?,
-            ExecBackend::AstWalk => execute(
-                &plan.program,
-                &plan.full_storage,
-                &placements,
-                &mut system,
-                &opts,
-                Some(&plan.estimates),
-                &plan.copy_elim,
-            )?,
-        };
+        // The plan carries the lowering; don't re-lower per scenario.
+        let mut report = execute(
+            &plan.program,
+            &plan.lowered,
+            &plan.full_storage,
+            &placements,
+            Some(&plan.estimates),
+            None,
+            &mut system,
+            &opts,
+        )?;
         // Echo the Eq. 1 terms of the assignment that actually executed
         // (recomputed rather than copied from `plan.eq1`, so callers that
         // force placements on a cloned plan still audit what ran).
@@ -590,6 +554,18 @@ impl ActivePy {
     }
 }
 
+/// Simulated code-generation cost of a plan: host code for the whole
+/// program, plus device code for the offloaded lines when there are any.
+fn plan_compile_secs(program: &Program, assignment: &Assignment) -> f64 {
+    let csd_lines = assignment.csd_lines.len();
+    CompiledProgram::compile_secs_for(program.len())
+        + if csd_lines > 0 {
+            CompiledProgram::compile_secs_for(csd_lines)
+        } else {
+            0.0
+        }
+}
+
 /// Host wall-clock elapsed since `start`, saturating into `u64` nanos.
 fn phase_nanos(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
@@ -598,7 +574,6 @@ fn phase_nanos(start: Instant) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::execute_all_host;
     use alang::builtins::Storage;
     use alang::parser::parse;
     use alang::value::ArrayVal;
@@ -651,15 +626,15 @@ s = sum(b)
         let outcome = ActivePy::new()
             .run(&program, &input(), &config, ContentionScenario::none())
             .expect("pipeline");
-        let storage = input().storage_at(1.0);
-        let mut host_sys = config.build();
-        let host = execute_all_host(
+        let host = execute(
             &program,
-            &storage,
-            &mut host_sys,
-            alang::ExecTier::Native,
-            &CostParams::paper_default(),
-            &[],
+            &alang::lower::lower(&program).expect("lower"),
+            &input().storage_at(1.0),
+            &[csd_sim::EngineKind::Host; 4],
+            None,
+            None,
+            &mut config.build(),
+            &ExecOptions::native_static(),
         )
         .expect("host baseline");
         assert!(

@@ -33,12 +33,12 @@
 use crate::assign::{assign_refined, Assignment};
 use crate::error::{ActivePyError, Result};
 use crate::estimate::{shared_link_bandwidth, LineEstimate};
-use crate::exec::{execute_with_shard, ExecOptions, MigrationReason, RunReport, ShardSlice};
+use crate::exec::{execute, ExecOptions, MigrationReason, RunReport, ShardSlice};
 use crate::monitor::{ShardDecision, ShardMonitors};
 use crate::plan::OffloadPlan;
 use crate::runtime::ActivePy;
 use alang::shard::{analyze, ShardAnalysis, ShardMap};
-use alang::{Program, Storage};
+use alang::{LoweredProgram, Program, Storage};
 use csd_sim::contention::{ContentionScenario, Trigger};
 use csd_sim::fault::{FaultCounters, FaultPlan};
 use csd_sim::units::{Bandwidth, Duration, Ops, SimTime};
@@ -236,8 +236,8 @@ impl FleetReport {
 }
 
 /// Everything a fleet execution needs that is independent of the shard
-/// loop: the program, its full (unsliced) storage, the row partition, and
-/// the code generator's elimination flags.
+/// loop: the program and its lowering, its full (unsliced) storage, and
+/// the row partition.
 #[derive(Debug, Clone, Copy)]
 pub struct FleetRun<'a> {
     /// The program to execute.
@@ -247,8 +247,9 @@ pub struct FleetRun<'a> {
     pub storage: &'a Storage,
     /// The row partition.
     pub map: &'a ShardMap,
-    /// Per-line copy-elimination flags.
-    pub copy_elim: &'a [bool],
+    /// The program's bytecode, shared by every shard and the tail; its
+    /// baked flags decide copy elimination.
+    pub lowered: &'a LoweredProgram,
     /// Simulated seconds that precede the scatter (pipeline overheads);
     /// charged once on the host clock.
     pub lead_in_secs: f64,
@@ -273,7 +274,8 @@ fn shard_probe(device: &System, scenario: &ContentionScenario, windows: u32) -> 
         .collect()
 }
 
-/// Executes one scatter-gather fleet run.
+/// Executes one scatter-gather fleet run on a fresh default-budget fleet of
+/// `run.map.count()` devices built from `config`.
 ///
 /// `shard_placements[s]` are the per-line placements for shard `s` (the
 /// fence and after are forced host regardless); `shard_estimates`, when
@@ -286,24 +288,22 @@ fn shard_probe(device: &System, scenario: &ContentionScenario, windows: u32) -> 
 /// Propagates per-shard execution failures, rejects placement vectors of
 /// the wrong shape, and fails if any phase's `values_fingerprint`
 /// diverges (a broken invariant, never an input condition).
-#[allow(clippy::too_many_arguments)]
 pub fn execute_sharded(
     run: &FleetRun<'_>,
     shard_placements: &[Vec<EngineKind>],
     shard_estimates: Option<&[Vec<LineEstimate>]>,
-    fleet: &mut Fleet,
     config: &SystemConfig,
     opts: &ExecOptions,
     shard_faults: &[FaultPlan],
 ) -> Result<FleetReport> {
-    let n = fleet.len();
-    if run.map.count() != n || shard_placements.len() != n {
+    let n = run.map.count();
+    if shard_placements.len() != n {
         return Err(ActivePyError::exec(format!(
-            "fleet of {n} devices needs {n} shard placements and a matching map, got {} and {}",
-            shard_placements.len(),
-            run.map.count()
+            "fleet of {n} devices needs {n} shard placements, got {}",
+            shard_placements.len()
         )));
     }
+    let mut fleet = Fleet::new(config, n);
     let analysis = analyze(run.program, run.map);
     let len = run.program.len();
     let fleet_span = opts.tracer.begin_with(
@@ -370,15 +370,15 @@ pub fn execute_sharded(
                 ("decision".into(), format!("{decision:?}").into()),
             ],
         );
-        let report = execute_with_shard(
+        let report = execute(
             run.program,
+            run.lowered,
             run.storage,
             &placements,
+            estimates,
+            Some(&slice),
             fleet.device_mut(s),
             &shard_opts,
-            estimates,
-            run.copy_elim,
-            Some(&slice),
         )?;
         opts.tracer.end(shard_span, Some(report.total_secs));
         if let Some((sm, _)) = monitors.as_mut() {
@@ -468,15 +468,15 @@ pub fn execute_sharded(
     // The host-side tail journals on lane n, after the shard lanes.
     tail_opts.journal = opts.journal.lane(n as u32);
     let tail_t0 = host.now().as_secs();
-    let tail = execute_with_shard(
+    let tail = execute(
         run.program,
+        run.lowered,
         run.storage,
         &vec![EngineKind::Host; len],
+        None,
+        Some(&tail_slice),
         &mut host,
         &tail_opts,
-        None,
-        run.copy_elim,
-        Some(&tail_slice),
     )?;
     let tail_secs = tail.total_secs - tail_t0;
 
@@ -512,44 +512,6 @@ pub fn execute_sharded(
     })
 }
 
-/// Executes `program` across a fresh default-budget fleet of `n` devices
-/// with the same base `placements` on every shard — the proptest
-/// differential's entry point (no planning pipeline involved).
-///
-/// # Errors
-///
-/// As [`execute_sharded`].
-#[allow(clippy::too_many_arguments)]
-pub fn execute_sharded_raw(
-    program: &Program,
-    storage: &Storage,
-    map: &ShardMap,
-    placements: &[EngineKind],
-    config: &SystemConfig,
-    opts: &ExecOptions,
-    shard_faults: &[FaultPlan],
-    n: usize,
-) -> Result<FleetReport> {
-    let mut fleet = Fleet::new(config, n);
-    let run = FleetRun {
-        program,
-        storage,
-        map,
-        copy_elim: &[],
-        lead_in_secs: 0.0,
-    };
-    let shard_placements: Vec<Vec<EngineKind>> = (0..n).map(|_| placements.to_vec()).collect();
-    execute_sharded(
-        &run,
-        &shard_placements,
-        None,
-        &mut fleet,
-        config,
-        opts,
-        shard_faults,
-    )
-}
-
 /// Executes a [`ShardedPlan`] under `runtime`'s execution options on a
 /// fresh default-budget fleet: the fleet counterpart of
 /// [`ActivePy::execute_plan`], charging the base plan's pipeline
@@ -565,26 +527,13 @@ pub fn execute_sharded_plan(
     scenario: ContentionScenario,
     shard_faults: &[FaultPlan],
 ) -> Result<FleetReport> {
-    let n = plan.count();
-    let mut fleet = Fleet::new(config, n);
     let ropts = runtime.options();
-    let opts = ExecOptions {
-        tier: alang::ExecTier::CompiledCopyElim,
-        params: ropts.params,
-        scenario,
-        monitor: ropts.monitor,
-        offload_overheads: true,
-        preempt_at: ropts.preempt_at,
-        backend: ropts.backend,
-        recovery: ropts.recovery,
-        faults: FaultPlan::none(),
-        parallel: ropts.parallel,
-        tracer: ropts.tracer.clone(),
-        // Shard runs never record profiles: their measured costs are
-        // slice-scaled and would bias the unsharded profile.
-        profile: crate::profile::ProfileRecorder::disabled(),
-        journal: ropts.journal.clone(),
-    };
+    let mut opts = ExecOptions::from_runtime(ropts, scenario);
+    // Faults come per shard from `shard_faults`, and shard runs never
+    // record profiles: their measured costs are slice-scaled and would
+    // bias the unsharded profile.
+    opts.faults = FaultPlan::none();
+    opts.profile = crate::profile::ProfileRecorder::disabled();
     // Journal the fleet's plan identity — base plan fingerprint plus the
     // shard map's — so a resume against a re-planned fleet or a different
     // shard count fails at the first record.
@@ -602,15 +551,16 @@ pub fn execute_sharded_plan(
         program: &plan.base.program,
         storage: &plan.base.full_storage,
         map: &plan.map,
-        copy_elim: &plan.base.copy_elim,
+        lowered: &plan.base.lowered,
         lead_in_secs,
     };
-    let shard_placements: Vec<Vec<EngineKind>> = (0..n).map(|s| plan.shard_placements(s)).collect();
+    let shard_placements: Vec<Vec<EngineKind>> = (0..plan.count())
+        .map(|s| plan.shard_placements(s))
+        .collect();
     let mut report = execute_sharded(
         &run,
         &shard_placements,
         Some(&plan.shard_estimates),
-        &mut fleet,
         config,
         &opts,
         shard_faults,
@@ -627,13 +577,12 @@ pub fn execute_sharded_plan(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::execute_all_host;
     use crate::plan::PlanCache;
     use crate::sampling::InputSource;
     use alang::parser::parse;
     use alang::shard::ShardStrategy;
     use alang::value::ArrayVal;
-    use alang::{CostParams, ExecTier, Value};
+    use alang::Value;
 
     /// A filter-reduce workload over an 8 GB logical array, sharded on
     /// `v`.
@@ -669,16 +618,15 @@ mod tests {
     #[test]
     fn fingerprint_is_identical_across_shard_counts_and_vs_unsharded() {
         let program = parse(SRC).expect("parse");
-        let storage = input().storage_at(1.0);
-        let config = SystemConfig::paper_default();
-        let mut host_sys = config.build();
-        let unsharded = execute_all_host(
+        let unsharded = execute(
             &program,
-            &storage,
-            &mut host_sys,
-            ExecTier::Native,
-            &CostParams::paper_default(),
-            &[],
+            &alang::lower::lower(&program).expect("lower"),
+            &input().storage_at(1.0),
+            &[EngineKind::Host; 4],
+            None,
+            None,
+            &mut SystemConfig::paper_default().build(),
+            &ExecOptions::native_static(),
         )
         .expect("host baseline");
         let mut prints = Vec::new();

@@ -7,10 +7,11 @@
 
 use activepy::runtime::ActivePy;
 use activepy::sampling::InputSource;
+use activepy::ExecOptions;
 use alang::builtins::Storage;
 use alang::value::ArrayVal;
-use alang::{CostParams, ExecTier, Value};
-use csd_sim::{ContentionScenario, SystemConfig};
+use alang::Value;
+use csd_sim::{ContentionScenario, EngineKind, SystemConfig};
 
 /// A synthetic 8 GB sensor log: readings in [0, 100).
 struct SensorLog;
@@ -60,15 +61,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Compare with running everything on the host in native code.
-    let storage = SensorLog.storage_at(1.0);
-    let mut host_sys = config.build();
-    let host = activepy::exec::execute_all_host(
+    let host = activepy::exec::execute(
         &program,
-        &storage,
-        &mut host_sys,
-        ExecTier::Native,
-        &CostParams::paper_default(),
-        &[],
+        &alang::lower::lower(&program)?,
+        &SensorLog.storage_at(1.0),
+        &vec![EngineKind::Host; program.len()],
+        None,
+        None,
+        &mut config.build(),
+        &ExecOptions::native_static(),
     )?;
     println!(
         "host-only C baseline {:.3}s  ->  speedup {:.2}x",

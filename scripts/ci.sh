@@ -10,6 +10,9 @@ cargo build --release
 echo "== cargo test -q =="
 cargo test -q
 
+echo "== cargo test --workspace -q (every crate's unit tests) =="
+cargo test --workspace -q
+
 echo "== fault-sweep smoke (deterministic injection, zero wrong answers) =="
 cargo test -q -p isp-bench faults::
 

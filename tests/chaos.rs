@@ -19,42 +19,12 @@ use alang::parser::parse;
 use alang::value::ArrayVal;
 use alang::{ExecBackend, Value};
 use csd_sim::fault::FaultPlan;
-use csd_sim::units::{Duration, SimTime};
 use csd_sim::{EngineKind, FaultCounters, SystemConfig};
 use proptest::prelude::*;
 
-const VARS: [&str; 4] = ["a", "b", "c", "d"];
-
-/// Builtins safe to call with one argument of any generated type (same
-/// set as the engine differential; `sort` panics on legitimate NaNs).
-const FNS: [&str; 5] = ["sum", "mean", "sqrt", "abs", "len"];
-
-const OPS: [&str; 8] = ["+", "-", "*", "/", "<", ">", "==", "!="];
-
-fn ident() -> BoxedStrategy<String> {
-    (0usize..VARS.len())
-        .prop_map(|i| VARS[i].to_owned())
-        .boxed()
-}
-
-/// A random expression in source form, up to three levels deep.
-fn expr() -> BoxedStrategy<String> {
-    let leaf = prop_oneof![
-        (0u32..50).prop_map(|n| n.to_string()),
-        (1u32..40).prop_map(|n| format!("{n}.5")),
-        ident(),
-        Just("scan('v')".to_owned()),
-        Just("scan('w')".to_owned()),
-    ];
-    leaf.boxed().prop_recursive(3, 24, 3, |inner| {
-        prop_oneof![
-            inner.clone().prop_map(|e| format!("-({e})")),
-            (inner.clone(), inner.clone(), 0usize..OPS.len())
-                .prop_map(|(l, r, op)| format!("({l} {} {r})", OPS[op])),
-            (inner, 0usize..FNS.len()).prop_map(|(e, f)| format!("{}({e})", FNS[f])),
-        ]
-    })
-}
+mod common;
+#[path = "common/faults.rs"]
+mod faults;
 
 fn storage() -> Storage {
     let mut st = Storage::new();
@@ -75,35 +45,6 @@ fn storage() -> Storage {
     st
 }
 
-/// A random but valid fault plan: independent transient error rates per
-/// device surface, an optional GC burst, an optional hard crash.
-#[allow(clippy::type_complexity)]
-fn fault_plan() -> impl Strategy<Value = FaultPlan> {
-    (
-        0u64..1_000,
-        0.0f64..0.3,
-        0.0f64..0.3,
-        0.0f64..0.3,
-        (any::<bool>(), 0.0f64..0.05),
-        (any::<bool>(), 0.0f64..0.05, 0.0f64..0.05, 0.05f64..1.0),
-    )
-        .prop_map(|(seed, flash, nvme, dma, crash, gc)| {
-            let mut plan = FaultPlan::none()
-                .with_seed(seed)
-                .with_flash_read_error_prob(flash)
-                .with_nvme_error_prob(nvme)
-                .with_dma_error_prob(dma);
-            if crash.0 {
-                plan = plan.with_crash_at(SimTime::from_secs(crash.1));
-            }
-            if gc.0 {
-                plan =
-                    plan.with_gc_burst(SimTime::from_secs(gc.1), Duration::from_secs(gc.2), gc.3);
-            }
-            plan
-        })
-}
-
 /// One execution on a fresh system; returns the report (or error) plus
 /// what the injector actually injected.
 fn run_once(
@@ -113,12 +54,22 @@ fn run_once(
     faults: &FaultPlan,
 ) -> (Result<RunReport, ActivePyError>, FaultCounters) {
     let program = parse(src).expect("generated source parses");
+    let lowered = alang::lower::lower(&program).expect("generated source lowers");
     let st = storage();
     let mut system = SystemConfig::paper_default().build();
     let opts = ExecOptions::activepy()
         .with_backend(backend)
         .with_faults(faults.clone());
-    let res = execute(&program, &st, placements, &mut system, &opts, None, &[]);
+    let res = execute(
+        &program,
+        &lowered,
+        &st,
+        placements,
+        None,
+        None,
+        &mut system,
+        &opts,
+    );
     (res, system.fault_counters())
 }
 
@@ -127,14 +78,11 @@ proptest! {
 
     #[test]
     fn faulted_runs_recover_to_the_fault_free_answer(
-        lines in prop::collection::vec((0usize..VARS.len(), expr()), 1..6),
+        lines in common::lines(),
         on_csd in prop::collection::vec(any::<bool>(), 6..7),
-        faults in fault_plan(),
+        faults in faults::fault_plan(),
     ) {
-        let src: String = lines
-            .iter()
-            .map(|(t, e)| format!("{} = {e}\n", VARS[*t]))
-            .collect();
+        let src = common::source(&lines);
         let placements: Vec<EngineKind> = (0..lines.len())
             .map(|i| if on_csd[i] { EngineKind::Cse } else { EngineKind::Host })
             .collect();

@@ -11,7 +11,7 @@
 //! decoding is bit-exact everywhere or it is not a storage format.
 
 use activepy::exec::{execute, ExecOptions};
-use activepy::execute_sharded_raw;
+use activepy::{execute_sharded, FleetRun};
 use alang::builtins::Storage;
 use alang::parser::parse;
 use alang::shard::{ShardMap, ShardStrategy};
@@ -108,6 +108,7 @@ proptest! {
     ) {
         let (seed, flash, nvme, crash) = faults;
         let program = parse(SOURCE).expect("pipeline parses");
+        let lowered = alang::lower::lower(&program).expect("pipeline lowers");
         let placements: Vec<EngineKind> = on_csd
             .iter()
             .map(|&c| if c { EngineKind::Cse } else { EngineKind::Host })
@@ -120,10 +121,7 @@ proptest! {
         let reference = {
             let mut system = config.build();
             let host = vec![EngineKind::Host; program.len()];
-            execute(
-                &program, &st, &host, &mut system,
-                &ExecOptions::activepy(), None, &[],
-            )
+            execute(&program, &lowered, &st, &host, None, None, &mut system, &ExecOptions::activepy())
             .expect("reference run")
             .values_fingerprint
         };
@@ -132,9 +130,7 @@ proptest! {
             let opts = ExecOptions::activepy().with_backend(backend);
 
             let mut system = config.build();
-            let placed = execute(
-                &program, &st, &placements, &mut system, &opts, None, &[],
-            ).expect("placed run");
+            let placed = execute(&program, &lowered, &st, &placements, None, None, &mut system, &opts).expect("placed run");
             prop_assert_eq!(
                 placed.values_fingerprint, reference,
                 "placement moved the answer on {:?}\na: {:?}\nb: {:?}",
@@ -155,8 +151,15 @@ proptest! {
                         plan
                     })
                     .collect();
-                let faulted = execute_sharded_raw(
-                    &program, &st, &map, &placements, &config, &opts, &faults, n,
+                let run = FleetRun {
+                    program: &program,
+                    storage: &st,
+                    map: &map,
+                    lowered: &lowered,
+                    lead_in_secs: 0.0,
+                };
+                let faulted = execute_sharded(
+                    &run, &vec![placements.clone(); n], None, &config, &opts, &faults,
                 ).expect("sharded faulted run");
                 prop_assert_eq!(
                     faulted.values_fingerprint, reference,

@@ -15,52 +15,21 @@
 //!    hard-faulted shard still contributes the right slice.
 
 use activepy::exec::{execute, ExecOptions};
-use activepy::execute_sharded_raw;
+use activepy::{execute_sharded, FleetRun};
 use alang::builtins::Storage;
 use alang::parser::parse;
 use alang::shard::{ShardMap, ShardStrategy};
 use alang::value::ArrayVal;
 use alang::{ExecBackend, Value};
 use csd_sim::fault::FaultPlan;
-use csd_sim::units::{Duration, SimTime};
 use csd_sim::{EngineKind, SystemConfig};
 use proptest::prelude::*;
 
+mod common;
+#[path = "common/shard_faults.rs"]
+mod shard_faults;
+
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-const VARS: [&str; 4] = ["a", "b", "c", "d"];
-
-/// Builtins safe to call with one argument of any generated type (same
-/// set as the chaos differential).
-const FNS: [&str; 5] = ["sum", "mean", "sqrt", "abs", "len"];
-
-const OPS: [&str; 8] = ["+", "-", "*", "/", "<", ">", "==", "!="];
-
-fn ident() -> BoxedStrategy<String> {
-    (0usize..VARS.len())
-        .prop_map(|i| VARS[i].to_owned())
-        .boxed()
-}
-
-/// A random expression in source form, up to three levels deep.
-fn expr() -> BoxedStrategy<String> {
-    let leaf = prop_oneof![
-        (0u32..50).prop_map(|n| n.to_string()),
-        (1u32..40).prop_map(|n| format!("{n}.5")),
-        ident(),
-        Just("scan('v')".to_owned()),
-        Just("scan('w')".to_owned()),
-    ];
-    leaf.boxed().prop_recursive(3, 24, 3, |inner| {
-        prop_oneof![
-            inner.clone().prop_map(|e| format!("-({e})")),
-            (inner.clone(), inner.clone(), 0usize..OPS.len())
-                .prop_map(|(l, r, op)| format!("({l} {} {r})", OPS[op])),
-            (inner, 0usize..FNS.len()).prop_map(|(e, f)| format!("{}({e})", FNS[f])),
-        ]
-    })
-}
-
 /// Both stored arrays clear `SHARD_MIN_ROWS`, so the auto map always
 /// partitions them.
 fn storage() -> Storage {
@@ -82,54 +51,6 @@ fn storage() -> Storage {
     st
 }
 
-/// Raw parameters of a fault plan; materialized per shard so each device
-/// draws an independent deterministic stream from a shard-salted seed.
-#[derive(Debug, Clone)]
-struct FaultParams {
-    seed: u64,
-    flash: f64,
-    nvme: f64,
-    dma: f64,
-    crash: Option<f64>,
-    gc: Option<(f64, f64, f64)>,
-}
-
-impl FaultParams {
-    fn plan_for_shard(&self, s: usize) -> FaultPlan {
-        let mut plan = FaultPlan::none()
-            .with_seed(self.seed.wrapping_mul(31).wrapping_add(s as u64))
-            .with_flash_read_error_prob(self.flash)
-            .with_nvme_error_prob(self.nvme)
-            .with_dma_error_prob(self.dma);
-        if let Some(at) = self.crash {
-            plan = plan.with_crash_at(SimTime::from_secs(at));
-        }
-        if let Some((at, dur, frac)) = self.gc {
-            plan = plan.with_gc_burst(SimTime::from_secs(at), Duration::from_secs(dur), frac);
-        }
-        plan
-    }
-}
-
-fn fault_params() -> impl Strategy<Value = FaultParams> {
-    (
-        0u64..1_000,
-        0.0f64..0.2,
-        0.0f64..0.2,
-        0.0f64..0.2,
-        (any::<bool>(), 0.0f64..0.05),
-        (any::<bool>(), 0.0f64..0.05, 0.0f64..0.05, 0.05f64..1.0),
-    )
-        .prop_map(|(seed, flash, nvme, dma, crash, gc)| FaultParams {
-            seed,
-            flash,
-            nvme,
-            dma,
-            crash: crash.0.then_some(crash.1),
-            gc: gc.0.then_some((gc.1, gc.2, gc.3)),
-        })
-}
-
 fn strategy() -> impl Strategy<Value = ShardStrategy> {
     prop_oneof![
         Just(ShardStrategy::Range),
@@ -142,16 +63,14 @@ proptest! {
 
     #[test]
     fn every_fleet_size_reproduces_the_unsharded_answer(
-        lines in prop::collection::vec((0usize..VARS.len(), expr()), 1..6),
+        lines in common::lines(),
         on_csd in prop::collection::vec(any::<bool>(), 6..7),
-        params in fault_params(),
+        params in shard_faults::fault_params(),
         shard_strategy in strategy(),
     ) {
-        let src: String = lines
-            .iter()
-            .map(|(t, e)| format!("{} = {e}\n", VARS[*t]))
-            .collect();
+        let src = common::source(&lines);
         let program = parse(&src).expect("generated source parses");
+        let lowered = alang::lower::lower(&program).expect("generated source lowers");
         let placements: Vec<EngineKind> = (0..lines.len())
             .map(|i| if on_csd[i] { EngineKind::Cse } else { EngineKind::Host })
             .collect();
@@ -163,21 +82,23 @@ proptest! {
 
             // The unsharded single-device reference.
             let mut system = config.build();
-            let reference = execute(
-                &program, &st, &placements, &mut system, &opts, None, &[],
-            );
+            let reference = execute(&program, &lowered, &st, &placements, None, None, &mut system, &opts);
 
             for &n in &SHARD_COUNTS {
                 let map = ShardMap::auto(&st, n, shard_strategy);
                 prop_assert_eq!(map.count(), n);
                 let faults: Vec<FaultPlan> =
                     (0..n).map(|s| params.plan_for_shard(s)).collect();
-                let clean = execute_sharded_raw(
-                    &program, &st, &map, &placements, &config, &opts, &[], n,
-                );
-                let faulted = execute_sharded_raw(
-                    &program, &st, &map, &placements, &config, &opts, &faults, n,
-                );
+                let run = FleetRun {
+                    program: &program,
+                    storage: &st,
+                    map: &map,
+                    lowered: &lowered,
+                    lead_in_secs: 0.0,
+                };
+                let per_shard = vec![placements.clone(); n];
+                let clean = execute_sharded(&run, &per_shard, None, &config, &opts, &[]);
+                let faulted = execute_sharded(&run, &per_shard, None, &config, &opts, &faults);
                 match (&reference, clean, faulted) {
                     (Ok(reference), Ok(clean), Ok(faulted)) => {
                         // Invariant 1: one answer everywhere.

@@ -17,14 +17,7 @@ use csd_sim::units::{Duration, SimTime};
 use csd_sim::{EngineKind, SystemConfig};
 use proptest::prelude::*;
 
-/// Assignment targets, as in the engine differential.
-const VARS: [&str; 4] = ["a", "b", "c", "d"];
-
-/// Builtins safe to call with one argument of any generated type (`sort`
-/// panics on the NaNs that `sqrt`/`0/0` legitimately produce here).
-const FNS: [&str; 5] = ["sum", "mean", "sqrt", "abs", "len"];
-
-const OPS: [&str; 8] = ["+", "-", "*", "/", "<", ">", "==", "!="];
+mod common;
 
 /// Low engagement threshold so the stored arrays below split into several
 /// chunks (the element budget is 4096/chunk) and parallel execution
@@ -32,31 +25,6 @@ const OPS: [&str; 8] = ["+", "-", "*", "/", "<", ">", "==", "!="];
 const MIN_PARALLEL_LEN: usize = 1_000;
 
 const THREADS: [usize; 3] = [1, 2, 8];
-
-fn ident() -> BoxedStrategy<String> {
-    (0usize..VARS.len())
-        .prop_map(|i| VARS[i].to_owned())
-        .boxed()
-}
-
-/// A random expression in source form, up to three levels deep.
-fn expr() -> BoxedStrategy<String> {
-    let leaf = prop_oneof![
-        (0u32..50).prop_map(|n| n.to_string()),
-        (1u32..40).prop_map(|n| format!("{n}.5")),
-        ident(),
-        Just("scan('v')".to_owned()),
-        Just("scan('w')".to_owned()),
-    ];
-    leaf.boxed().prop_recursive(3, 24, 3, |inner| {
-        prop_oneof![
-            inner.clone().prop_map(|e| format!("-({e})")),
-            (inner.clone(), inner.clone(), 0usize..OPS.len())
-                .prop_map(|(l, r, op)| format!("({l} {} {r})", OPS[op])),
-            (inner, 0usize..FNS.len()).prop_map(|(e, f)| format!("{}({e})", FNS[f])),
-        ]
-    })
-}
 
 /// Like the engine differential's storage but with physical arrays large
 /// enough to split into multiple chunks (12 000 elements ≈ 3 chunks).
@@ -88,13 +56,10 @@ proptest! {
 
     #[test]
     fn results_are_identical_at_every_thread_count(
-        lines in prop::collection::vec((0usize..VARS.len(), expr()), 1..6),
+        lines in common::lines(),
         flags in prop::collection::vec(any::<bool>(), 0..8),
     ) {
-        let src: String = lines
-            .iter()
-            .map(|(t, e)| format!("{} = {e}\n", VARS[*t]))
-            .collect();
+        let src = common::source(&lines);
         let program = parse(&src).expect("generated source parses");
         let lowered = alang::lower::lower_with(&program, &flags).expect("lowers");
         let st = storage();
@@ -161,6 +126,7 @@ fn pinned_faults_and_parallel_kernels_replay_bit_exactly() {
                a = sum(d) / (c + 1)\n\
                b = mean(b) + a\n";
     let program = parse(src).expect("fixed source parses");
+    let lowered = alang::lower::lower(&program).expect("fixed source lowers");
     let placements = [
         EngineKind::Cse,
         EngineKind::Cse,
@@ -191,8 +157,17 @@ fn pinned_faults_and_parallel_kernels_replay_bit_exactly() {
                     .with_backend(backend)
                     .with_faults(faults.clone())
                     .with_parallelism(policy(threads));
-                let report = execute(&program, &st, &placements, &mut system, &opts, None, &[])
-                    .expect("fixed program runs");
+                let report = execute(
+                    &program,
+                    &lowered,
+                    &st,
+                    &placements,
+                    None,
+                    None,
+                    &mut system,
+                    &opts,
+                )
+                .expect("fixed program runs");
                 assert_eq!(
                     report.parallel,
                     policy(threads),

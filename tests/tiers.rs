@@ -2,9 +2,9 @@
 //! copy-eliminated, native) change *cost*, never *values* — and placement
 //! (host vs CSD) never changes a program's result either.
 
-use activepy::exec::{execute, execute_all_host, ExecOptions};
-use alang::{CostParams, ExecTier, Interpreter};
-use csd_sim::{ContentionScenario, EngineKind, SystemConfig};
+use activepy::exec::{execute, ExecOptions};
+use alang::{ExecTier, Interpreter};
+use csd_sim::{EngineKind, SystemConfig};
 
 #[test]
 fn tiers_change_latency_never_results() {
@@ -51,14 +51,18 @@ fn placement_never_changes_results_only_time() {
     let program = w.program().expect("parse");
     let storage = w.storage_at(1.0);
 
+    let lowered = alang::lower::lower(&program).expect("lower");
+    let opts = ExecOptions::native_static();
     let mut host_sys = config.build();
-    let host = execute_all_host(
+    let host = execute(
         &program,
+        &lowered,
         &storage,
+        &vec![EngineKind::Host; program.len()],
+        None,
+        None,
         &mut host_sys,
-        ExecTier::Native,
-        &CostParams::paper_default(),
-        &[],
+        &opts,
     )
     .expect("host run");
 
@@ -66,12 +70,13 @@ fn placement_never_changes_results_only_time() {
     let placements = vec![EngineKind::Cse; program.len()];
     let isp = execute(
         &program,
+        &lowered,
         &storage,
         &placements,
-        &mut isp_sys,
-        &ExecOptions::native_static().with_scenario(ContentionScenario::none()),
         None,
-        &[],
+        None,
+        &mut isp_sys,
+        &opts,
     )
     .expect("isp run");
 

@@ -11,42 +11,7 @@ use alang::value::ArrayVal;
 use alang::{Value, Vm};
 use proptest::prelude::*;
 
-/// Assignment targets; reads of not-yet-defined names are valid programs
-/// that must fail identically on both engines.
-const VARS: [&str; 4] = ["a", "b", "c", "d"];
-
-/// Builtins safe to call with one argument of any generated type: either
-/// they succeed or both engines raise the same runtime error. `sort` is
-/// excluded because its contract panics on the NaNs that `sqrt`/`0/0`
-/// legitimately produce here.
-const FNS: [&str; 5] = ["sum", "mean", "sqrt", "abs", "len"];
-
-const OPS: [&str; 8] = ["+", "-", "*", "/", "<", ">", "==", "!="];
-
-fn ident() -> BoxedStrategy<String> {
-    (0usize..VARS.len())
-        .prop_map(|i| VARS[i].to_owned())
-        .boxed()
-}
-
-/// A random expression in source form, up to three levels deep.
-fn expr() -> BoxedStrategy<String> {
-    let leaf = prop_oneof![
-        (0u32..50).prop_map(|n| n.to_string()),
-        (1u32..40).prop_map(|n| format!("{n}.5")),
-        ident(),
-        Just("scan('v')".to_owned()),
-        Just("scan('w')".to_owned()),
-    ];
-    leaf.boxed().prop_recursive(3, 24, 3, |inner| {
-        prop_oneof![
-            inner.clone().prop_map(|e| format!("-({e})")),
-            (inner.clone(), inner.clone(), 0usize..OPS.len())
-                .prop_map(|(l, r, op)| format!("({l} {} {r})", OPS[op])),
-            (inner, 0usize..FNS.len()).prop_map(|(e, f)| format!("{}({e})", FNS[f])),
-        ]
-    })
-}
+mod common;
 
 fn storage() -> Storage {
     let mut st = Storage::new();
@@ -72,13 +37,10 @@ proptest! {
 
     #[test]
     fn random_programs_agree_across_engines(
-        lines in prop::collection::vec((0usize..VARS.len(), expr()), 1..6),
+        lines in common::lines(),
         flags in prop::collection::vec(any::<bool>(), 0..8),
     ) {
-        let src: String = lines
-            .iter()
-            .map(|(t, e)| format!("{} = {e}\n", VARS[*t]))
-            .collect();
+        let src = common::source(&lines);
         let program = parse(&src).expect("generated source parses");
         let st = storage();
         let mut interp = Interpreter::new(&st);

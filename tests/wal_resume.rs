@@ -22,49 +22,22 @@
 
 use activepy::exec::{execute, ExecOptions, RunReport};
 use activepy::runtime::{ActivePy, ActivePyOptions};
-use activepy::{execute_sharded_raw, ActivePyError, ExecJournal, PlanCache};
+use activepy::{execute_sharded, ActivePyError, ExecJournal, FleetRun, PlanCache};
 use alang::builtins::Storage;
 use alang::parser::parse;
 use alang::shard::{ShardMap, ShardStrategy};
 use alang::value::ArrayVal;
 use alang::{ExecBackend, Value};
 use csd_sim::fault::FaultPlan;
-use csd_sim::units::{Duration, SimTime};
 use csd_sim::{ContentionScenario, EngineKind, SystemConfig};
 use isp_obs::wal::{read_wal, WAL_MAGIC};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-const VARS: [&str; 4] = ["a", "b", "c", "d"];
-const FNS: [&str; 5] = ["sum", "mean", "sqrt", "abs", "len"];
-const OPS: [&str; 8] = ["+", "-", "*", "/", "<", ">", "==", "!="];
-
-fn ident() -> BoxedStrategy<String> {
-    (0usize..VARS.len())
-        .prop_map(|i| VARS[i].to_owned())
-        .boxed()
-}
-
-/// A random expression in source form, up to three levels deep (the
-/// chaos-differential grammar).
-fn expr() -> BoxedStrategy<String> {
-    let leaf = prop_oneof![
-        (0u32..50).prop_map(|n| n.to_string()),
-        (1u32..40).prop_map(|n| format!("{n}.5")),
-        ident(),
-        Just("scan('v')".to_owned()),
-        Just("scan('w')".to_owned()),
-    ];
-    leaf.boxed().prop_recursive(3, 24, 3, |inner| {
-        prop_oneof![
-            inner.clone().prop_map(|e| format!("-({e})")),
-            (inner.clone(), inner.clone(), 0usize..OPS.len())
-                .prop_map(|(l, r, op)| format!("({l} {} {r})", OPS[op])),
-            (inner, 0usize..FNS.len()).prop_map(|(e, f)| format!("{}({e})", FNS[f])),
-        ]
-    })
-}
+mod common;
+#[path = "common/faults.rs"]
+mod faults;
 
 fn storage() -> Storage {
     let mut st = Storage::new();
@@ -83,33 +56,6 @@ fn storage() -> Storage {
         )),
     );
     st
-}
-
-/// A random but valid fault plan (same envelope as the chaos test).
-fn fault_plan() -> impl Strategy<Value = FaultPlan> {
-    (
-        0u64..1_000,
-        0.0f64..0.3,
-        0.0f64..0.3,
-        0.0f64..0.3,
-        (any::<bool>(), 0.0f64..0.05),
-        (any::<bool>(), 0.0f64..0.05, 0.0f64..0.05, 0.05f64..1.0),
-    )
-        .prop_map(|(seed, flash, nvme, dma, crash, gc)| {
-            let mut plan = FaultPlan::none()
-                .with_seed(seed)
-                .with_flash_read_error_prob(flash)
-                .with_nvme_error_prob(nvme)
-                .with_dma_error_prob(dma);
-            if crash.0 {
-                plan = plan.with_crash_at(SimTime::from_secs(crash.1));
-            }
-            if gc.0 {
-                plan =
-                    plan.with_gc_burst(SimTime::from_secs(gc.1), Duration::from_secs(gc.2), gc.3);
-            }
-            plan
-        })
 }
 
 /// Unique temp path per call: tests run concurrently in one process.
@@ -138,13 +84,23 @@ fn one_unsharded(
     journal: ExecJournal,
 ) -> Result<RunReport, ActivePyError> {
     let program = parse(src).expect("generated source parses");
+    let lowered = alang::lower::lower(&program).expect("generated source lowers");
     let st = storage();
     let mut system = SystemConfig::paper_default().build();
     let opts = ExecOptions::activepy()
         .with_backend(backend)
         .with_faults(faults.clone())
         .with_journal(journal);
-    execute(&program, &st, placements, &mut system, &opts, None, &[])
+    execute(
+        &program,
+        &lowered,
+        &st,
+        placements,
+        None,
+        None,
+        &mut system,
+        &opts,
+    )
 }
 
 /// Asserts the resumed run's observable outcome equals the
@@ -189,15 +145,12 @@ proptest! {
     /// backends.
     #[test]
     fn resumed_runs_reach_the_uninterrupted_outcome(
-        lines in prop::collection::vec((0usize..VARS.len(), expr()), 1..6),
+        lines in common::lines(),
         on_csd in prop::collection::vec(any::<bool>(), 6..7),
-        faults in fault_plan(),
+        faults in faults::fault_plan(),
         kill_frac in 0.0f64..1.0,
     ) {
-        let src: String = lines
-            .iter()
-            .map(|(t, e)| format!("{} = {e}\n", VARS[*t]))
-            .collect();
+        let src = common::source(&lines);
         let placements: Vec<EngineKind> = (0..lines.len())
             .map(|i| if on_csd[i] { EngineKind::Cse } else { EngineKind::Host })
             .collect();
@@ -236,9 +189,18 @@ proptest! {
 
             // --- N=4 fleet: shard lanes + host tail lane ---
             let program = parse(&src).expect("parses");
+            let lowered = alang::lower::lower(&program).expect("lowers");
             let st = storage();
             let config = SystemConfig::paper_default();
             let map = ShardMap::auto(&st, 4, ShardStrategy::Range);
+            let run = FleetRun {
+                program: &program,
+                storage: &st,
+                map: &map,
+                lowered: &lowered,
+                lead_in_secs: 0.0,
+            };
+            let per_shard = vec![placements.clone(); 4];
             let shard_faults: Vec<FaultPlan> = (0..4)
                 .map(|s| faults.clone().with_seed(97 * s as u64 + 13))
                 .collect();
@@ -247,8 +209,8 @@ proptest! {
             let opts = ExecOptions::activepy()
                 .with_backend(backend)
                 .with_journal(journal);
-            let fleet_full = execute_sharded_raw(
-                &program, &st, &map, &placements, &config, &opts, &shard_faults, 4,
+            let fleet_full = execute_sharded(
+                &run, &per_shard, None, &config, &opts, &shard_faults,
             ).expect("fleet runs where the unsharded run ran");
             let fleet_ref = read_wal(&fpath).expect("read fleet journal");
             prop_assert!(!fleet_ref.torn);
@@ -258,8 +220,8 @@ proptest! {
             let opts = ExecOptions::activepy()
                 .with_backend(backend)
                 .with_journal(journal);
-            let fleet_resumed = execute_sharded_raw(
-                &program, &st, &map, &placements, &config, &opts, &shard_faults, 4,
+            let fleet_resumed = execute_sharded(
+                &run, &per_shard, None, &config, &opts, &shard_faults,
             ).expect("resumed fleet run succeeds");
             prop_assert_eq!(
                 fleet_full.values_fingerprint,
@@ -467,6 +429,7 @@ fn warm_start_replans_identically_with_zero_datagen_calls() {
 fn decode_workload_resumes_byte_exact() {
     let w = isp_workloads::by_name("LogGrep").expect("registered workload");
     let program = w.program().expect("parses");
+    let lowered = alang::lower::lower(&program).expect("lowers");
     let st = w.storage_at(1.0 / 1024.0);
     // The workload's planned regime: the whole pipeline on the CSD.
     let placements = vec![EngineKind::Cse; program.len()];
@@ -485,8 +448,17 @@ fn decode_workload_resumes_byte_exact() {
             .with_faults(faults.clone())
             .with_journal(journal);
         let mut system = config.build();
-        let full = execute(&program, &st, &placements, &mut system, &opts, None, &[])
-            .expect("uninterrupted run");
+        let full = execute(
+            &program,
+            &lowered,
+            &st,
+            &placements,
+            None,
+            None,
+            &mut system,
+            &opts,
+        )
+        .expect("uninterrupted run");
         assert!(
             full.metrics.recovery.retries > 0,
             "fault plan must force retries through the decode pipeline"
@@ -502,8 +474,17 @@ fn decode_workload_resumes_byte_exact() {
                 .with_faults(faults.clone())
                 .with_journal(journal);
             let mut system = config.build();
-            let resumed = execute(&program, &st, &placements, &mut system, &opts, None, &[])
-                .expect("resumed run");
+            let resumed = execute(
+                &program,
+                &lowered,
+                &st,
+                &placements,
+                None,
+                None,
+                &mut system,
+                &opts,
+            )
+            .expect("resumed run");
             assert_eq!(
                 full.values_fingerprint, resumed.values_fingerprint,
                 "resume at {frac} changed the decode answer on {backend:?}"
