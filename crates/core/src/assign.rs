@@ -26,6 +26,12 @@ pub struct Assignment {
     pub t_csd: f64,
 }
 
+isp_obs::fingerprint_fields!(Assignment {
+    csd_lines,
+    t_host,
+    t_csd
+});
+
 impl Assignment {
     /// An all-host assignment for `estimates`.
     #[must_use]

@@ -26,6 +26,8 @@ pub struct Calibration {
     pub cse_slowdown: f64,
 }
 
+isp_obs::fingerprint_fields!(Calibration { cse_slowdown });
+
 impl Calibration {
     /// Calibrates from performance counters: execute a probe batch of
     /// operations on each engine of a scratch system and compare achieved
@@ -98,6 +100,15 @@ pub struct LineEstimate {
     /// project expected throughput).
     pub ops: u64,
 }
+
+isp_obs::fingerprint_fields!(LineEstimate {
+    line,
+    ct_host,
+    ct_device,
+    d_in,
+    d_out,
+    ops
+});
 
 /// Builds per-line estimates from full-scale predictions.
 ///

@@ -32,13 +32,13 @@ use crate::runtime::ActivePyOptions;
 use alang::compile::CompiledProgram;
 use alang::{
     CostParams, ExecBackend, ExecTier, Interpreter, LineCost, LoweredProgram, ParStatsSnapshot,
-    ParallelPolicy, Program, Storage, Vm,
+    ParallelPolicy, Program, Storage, Value, Vm,
 };
 use csd_sim::contention::{ContentionScenario, Trigger};
 use csd_sim::fault::{DeviceFault, FaultPlan};
 use csd_sim::units::{Bytes, Duration, Ops};
 use csd_sim::{Direction, EngineKind, System};
-use isp_obs::{SpanKind, StateSnap, Tracer, WalRecord};
+use isp_obs::{Fingerprint, Fnv1a, SpanKind, StateSnap, Tracer, WalRecord};
 use migrate::{announce, install_contention, try_reclaim, wal_record};
 use region::RegionRun;
 use residency::{stage_inputs, VarSpace};
@@ -399,10 +399,10 @@ pub struct RunReport {
     /// Peak bytes of program state resident in device DRAM (BAR-mapped
     /// shared-address-space allocations).
     pub peak_device_bytes: u64,
-    /// FNV-1a hash over every program variable's final value, in
-    /// first-assignment order — the cheap "did we compute the same
-    /// answer?" check the fault sweep and the chaos differential compare
-    /// across faulted and fault-free runs.
+    /// Canonical fingerprint ([`isp_obs::Fingerprint`]) of every program
+    /// variable's final value, in first-assignment order — the cheap
+    /// "did we compute the same answer?" check the fault sweep and the
+    /// chaos differential compare across faulted and fault-free runs.
     pub values_fingerprint: u64,
     /// The kernel-execution policy the run was configured with.
     pub parallel: ParallelPolicy,
@@ -508,13 +508,13 @@ impl Evaluator<'_> {
         }
     }
 
-    /// The debug rendering of a variable's current value; what the values
-    /// fingerprint hashes. Identical across backends because both render
-    /// the same [`alang::Value`].
-    fn var_debug(&self, name: &str) -> String {
+    /// A variable's current value; what the values fingerprint hashes.
+    /// Identical across backends because both hold the same
+    /// [`alang::Value`].
+    fn var(&self, name: &str) -> Option<&Value> {
         match self {
-            Evaluator::Ast(interp) => format!("{:?}", interp.var(name)),
-            Evaluator::Vm(vm) => format!("{:?}", vm.var(name)),
+            Evaluator::Ast(interp) => interp.var(name),
+            Evaluator::Vm(vm) => vm.var(name),
         }
     }
 
@@ -536,19 +536,10 @@ impl Evaluator<'_> {
     }
 }
 
-/// FNV-1a over every program variable's final value (first-assignment
-/// order): the answer-integrity check compared between faulted and
-/// fault-free runs.
+/// Canonical fingerprint of every program variable's name and final
+/// value (first-assignment order): the answer-integrity check compared
+/// between faulted and fault-free runs.
 fn values_fingerprint(program: &Program, eval: &Evaluator<'_>) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET;
-    let mut mix = |bytes: &[u8]| {
-        for b in bytes {
-            hash ^= u64::from(*b);
-            hash = hash.wrapping_mul(PRIME);
-        }
-    };
     let mut seen: Vec<&str> = Vec::new();
     for line in program.lines() {
         if seen.contains(&line.target.as_str()) {
@@ -556,11 +547,12 @@ fn values_fingerprint(program: &Program, eval: &Evaluator<'_>) -> u64 {
         }
         seen.push(&line.target);
     }
+    let mut h = Fnv1a::new();
     for target in seen {
-        mix(target.as_bytes());
-        mix(eval.var_debug(target).as_bytes());
+        h.write_str(target);
+        eval.var(target).fingerprint_into(&mut h);
     }
-    hash
+    h.finish()
 }
 
 /// A hard fault leaving the recovery layer: either a crash, or a transient

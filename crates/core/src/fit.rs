@@ -15,6 +15,7 @@
 use crate::error::{ActivePyError, Result};
 use crate::sampling::LineSamples;
 use alang::LineCost;
+use isp_obs::{Fingerprint, Fnv1a};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -31,6 +32,18 @@ pub enum Complexity {
     ON2,
     /// Cubic.
     ON3,
+}
+
+impl Fingerprint for Complexity {
+    fn fingerprint_into(&self, h: &mut Fnv1a) {
+        h.write_u8(match self {
+            Complexity::O1 => 0,
+            Complexity::ON => 1,
+            Complexity::ONLogN => 2,
+            Complexity::ON2 => 3,
+            Complexity::ON3 => 4,
+        });
+    }
 }
 
 impl Complexity {
@@ -78,6 +91,12 @@ pub struct FittedCurve {
     /// Normalized root-mean-square residual of the winning fit.
     pub residual: f64,
 }
+
+isp_obs::fingerprint_fields!(FittedCurve {
+    complexity,
+    coefficient,
+    residual
+});
 
 impl FittedCurve {
     /// Predicts the series value at input size `n`.
@@ -158,6 +177,13 @@ pub struct LinePrediction {
     /// predictions on data volume changes").
     pub out_curve: FittedCurve,
 }
+
+isp_obs::fingerprint_fields!(LinePrediction {
+    line,
+    cost,
+    compute_curve,
+    out_curve
+});
 
 /// Extrapolates every sampled line to full scale (`n = 1.0` in scale
 /// units; callers may use any consistent size unit for `n`).

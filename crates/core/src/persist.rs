@@ -16,7 +16,7 @@
 //! ## Format
 //!
 //! ```text
-//! [ magic "ISPWARM1" : 8 bytes ]
+//! [ magic "ISPWARM2" : 8 bytes ]
 //! [ u64 payload_len (LE) ][ u64 fnv1a(payload) (LE) ][ payload ]
 //! ```
 //!
@@ -37,13 +37,16 @@ use alang::table::{Column, Table};
 use alang::value::{ArrayVal, BoolArrayVal, EncodedVal};
 use alang::{LineCost, Storage, Value};
 use csd_sim::wire::{ByteOrder, Codec, Encoding};
-use isp_obs::wal::{fnv1a, ByteReader, ByteWriter};
+use isp_obs::fnv1a;
+use isp_obs::wal::{ByteReader, ByteWriter};
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
 
 /// File header identifying a warm-start file and its format version.
-pub const WARM_MAGIC: [u8; 8] = *b"ISPWARM1";
+/// Version 2 keys seeds by the canonical-fingerprint plan-cache key;
+/// version 1 keys hashed `Debug` renderings and are rejected on load.
+pub const WARM_MAGIC: [u8; 8] = *b"ISPWARM2";
 
 /// Everything a plan-cache miss needs to re-plan without datagen: the
 /// sampling measurements and the materialized full-scale input.
@@ -115,7 +118,14 @@ fn decode_warm_bytes(
     String,
 > {
     if bytes.len() < 24 || bytes[..8] != WARM_MAGIC {
-        return Err("not a warm-start file (bad magic)".into());
+        return Err(match bytes.get(..8) {
+            Some(head) if head[..7] == WARM_MAGIC[..7] => format!(
+                "warm-start format {} is not {}",
+                String::from_utf8_lossy(head),
+                String::from_utf8_lossy(&WARM_MAGIC)
+            ),
+            _ => "not a warm-start file (bad magic)".into(),
+        });
     }
     let len = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")) as usize;
     let checksum = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes"));
@@ -779,6 +789,27 @@ mod tests {
             );
         }
         assert_eq!(profiles, vec![(key, profile)]);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn older_format_version_is_rejected_not_loaded_empty() {
+        let path = tmp("stale");
+        let key: ProfileKey = ("workload".into(), 0xBEEF);
+        let seed = WarmSeed {
+            sampling: sample_report(),
+            storage: sample_storage(),
+        };
+        save_warm_file(&path, &[(key, seed)], &[]).expect("save");
+        let mut bytes = std::fs::read(&path).expect("read");
+        bytes[..8].copy_from_slice(b"ISPWARM1");
+        std::fs::write(&path, &bytes).expect("write stale");
+        let err = load_warm_file(&path).expect_err("ISPWARM1 must not load");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("ISPWARM1"), "{err}");
+        let cache = crate::plan::PlanCache::new();
+        let err = cache.load_warm(&path).expect_err("no silent 0 seeds");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         std::fs::remove_file(&path).ok();
     }
 

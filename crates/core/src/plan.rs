@@ -36,6 +36,7 @@ use alang::shard::ShardMap;
 use alang::{LoweredProgram, Program};
 use csd_sim::fleet::DEFAULT_BUDGET_LINKS;
 use csd_sim::SystemConfig;
+use isp_obs::{Fingerprint, Fnv1a};
 
 /// Host wall-clock spent in each planning phase, in nanoseconds.
 ///
@@ -447,26 +448,22 @@ impl PlanCache {
         Ok(n)
     }
 
-    /// FNV-1a over the `Debug` forms of the platform config and the
-    /// planning-relevant options, plus the input's declared wire-format
-    /// fingerprint ([`InputSource::wire_fingerprint`]) — re-encoding a
-    /// dataset (codec, shuffle, byte order, fill sentinel) changes
-    /// decode costs and therefore invalidates cached plans, without the
-    /// key ever needing to materialize storage (warm starts stay
-    /// zero-datagen). `Debug` output of the plain-data config structs is
-    /// deterministic, which is all a cache key needs.
+    /// Canonical fingerprint of the platform config and the
+    /// planning-relevant options (sampling scales, cost constants,
+    /// backend), plus the input's declared wire-format fingerprint
+    /// ([`InputSource::wire_fingerprint`]) — re-encoding a dataset
+    /// (codec, shuffle, byte order, fill sentinel) changes decode costs
+    /// and therefore invalidates cached plans, without the key ever
+    /// needing to materialize storage (warm starts stay zero-datagen).
     fn fingerprint(runtime: &ActivePy, config: &SystemConfig, wire: u64) -> u64 {
         let opts = runtime.options();
-        let text = format!(
-            "{config:?}|{:?}|{:?}|{:?}|wire:{wire:#x}",
-            opts.scales, opts.params, opts.backend
-        );
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in text.as_bytes() {
-            hash ^= u64::from(*byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        hash
+        let mut h = Fnv1a::new();
+        config.fingerprint_into(&mut h);
+        opts.scales.fingerprint_into(&mut h);
+        opts.params.fingerprint_into(&mut h);
+        opts.backend.fingerprint_into(&mut h);
+        h.write_u64(wire);
+        h.finish()
     }
 }
 
@@ -534,6 +531,136 @@ mod tests {
             "same workload under a different SystemConfig must be a distinct plan"
         );
         assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn cache_key_moves_with_every_planning_input() {
+        use crate::runtime::ActivePyOptions;
+        use csd_sim::engine::EngineKind;
+        use csd_sim::flash::GcSchedule;
+        use csd_sim::units::{Bandwidth, Bytes, Duration};
+
+        let key = |opts: ActivePyOptions, config: &SystemConfig, wire: u64| {
+            PlanCache::fingerprint(&ActivePy::with_options(opts), config, wire)
+        };
+        // A reference config with a GC schedule, so `gc`'s fields count.
+        let reference = SystemConfig {
+            gc: Some(GcSchedule {
+                period: Duration::from_micros(100.0),
+                window: Duration::from_micros(10.0),
+                residual_fraction: 0.5,
+            }),
+            ..SystemConfig::paper_default()
+        };
+        let base = key(ActivePyOptions::default(), &reference, 0);
+        assert_eq!(base, key(ActivePyOptions::default(), &reference, 0));
+
+        let micros = Duration::from_micros;
+        let gbps = Bandwidth::from_gb_per_sec;
+        fn gc(c: &mut SystemConfig) -> &mut GcSchedule {
+            c.gc.as_mut().expect("reference has gc")
+        }
+        type Edit<'a> = (&'static str, Box<dyn Fn(&mut SystemConfig) + 'a>);
+        let config_edits: Vec<Edit<'_>> = vec![
+            ("host.kind", Box::new(|c| c.host.kind = EngineKind::Cse)),
+            ("host.freq_hz", Box::new(|c| c.host.freq_hz += 1.0)),
+            ("host.ipc", Box::new(|c| c.host.ipc += 0.5)),
+            ("host.cores", Box::new(|c| c.host.cores += 1)),
+            (
+                "host.parallel_efficiency",
+                Box::new(|c| c.host.parallel_efficiency /= 2.0),
+            ),
+            ("cse.kind", Box::new(|c| c.cse.kind = EngineKind::Host)),
+            ("cse.freq_hz", Box::new(|c| c.cse.freq_hz += 1.0)),
+            ("cse.ipc", Box::new(|c| c.cse.ipc += 0.5)),
+            ("cse.cores", Box::new(|c| c.cse.cores += 1)),
+            (
+                "cse.parallel_efficiency",
+                Box::new(|c| c.cse.parallel_efficiency /= 2.0),
+            ),
+            (
+                "flash_capacity",
+                Box::new(|c| c.flash_capacity = Bytes::new(1)),
+            ),
+            (
+                "flash_internal_bandwidth",
+                Box::new(|c| c.flash_internal_bandwidth = gbps(1.0)),
+            ),
+            ("gc", Box::new(|c| c.gc = None)),
+            ("gc.period", Box::new(|c| gc(c).period = micros(1.0))),
+            ("gc.window", Box::new(|c| gc(c).window = micros(1.0))),
+            (
+                "gc.residual_fraction",
+                Box::new(|c| gc(c).residual_fraction = 0.25),
+            ),
+            ("nvme_bandwidth", Box::new(|c| c.nvme_bandwidth = gbps(1.0))),
+            ("nvme_latency", Box::new(|c| c.nvme_latency = micros(9.0))),
+            ("pcie_bandwidth", Box::new(|c| c.pcie_bandwidth = gbps(1.0))),
+            ("pcie_latency", Box::new(|c| c.pcie_latency = micros(9.0))),
+            (
+                "queue_latencies.submit",
+                Box::new(|c| c.queue_latencies.submit = micros(9.0)),
+            ),
+            (
+                "queue_latencies.fetch",
+                Box::new(|c| c.queue_latencies.fetch = micros(9.0)),
+            ),
+            (
+                "queue_latencies.complete",
+                Box::new(|c| c.queue_latencies.complete = micros(9.0)),
+            ),
+            (
+                "queue_latencies.status_update",
+                Box::new(|c| c.queue_latencies.status_update = micros(9.0)),
+            ),
+            ("queue_depth", Box::new(|c| c.queue_depth += 1)),
+            ("host_dram", Box::new(|c| c.host_dram = Bytes::new(1))),
+            ("device_dram", Box::new(|c| c.device_dram = Bytes::new(1))),
+            ("dma_setup", Box::new(|c| c.dma_setup = micros(9.0))),
+        ];
+        for (field, edit) in &config_edits {
+            let mut config = reference.clone();
+            edit(&mut config);
+            assert_ne!(
+                key(ActivePyOptions::default(), &config, 0),
+                base,
+                "SystemConfig.{field} is not in the plan-cache key"
+            );
+        }
+
+        type OptEdit = (&'static str, fn(&mut ActivePyOptions));
+        let option_edits: [OptEdit; 6] = [
+            ("scales.len", |o| {
+                o.scales.pop();
+            }),
+            ("scales[0]", |o| o.scales[0] *= 2.0),
+            ("params.copy_ops_per_byte", |o| {
+                o.params.copy_ops_per_byte += 1.0
+            }),
+            ("params.dispatch_overhead", |o| {
+                o.params.dispatch_overhead += 1.0
+            }),
+            ("params.scan_ops_per_byte", |o| {
+                o.params.scan_ops_per_byte += 1.0
+            }),
+            ("backend", |o| o.backend = alang::ExecBackend::AstWalk),
+        ];
+        for (field, edit) in option_edits {
+            let mut opts = ActivePyOptions::default();
+            edit(&mut opts);
+            assert_ne!(
+                key(opts, &reference, 0),
+                base,
+                "ActivePyOptions.{field} is not in the plan-cache key"
+            );
+        }
+        assert_ne!(key(ActivePyOptions::default(), &reference, 1), base, "wire");
+        // Execution-only options stay out of the key.
+        let exec_only = ActivePyOptions::default()
+            .without_migration()
+            .with_preemption_at(1.0)
+            .with_parallelism(alang::ParallelPolicy::new(8, 1024).expect("policy"));
+        assert_eq!(key(exec_only, &reference, 0), base);
     }
 
     #[test]

@@ -31,7 +31,8 @@ use crate::error::ActivePyError;
 use crate::exec::MigrationReason;
 use crate::plan::OffloadPlan;
 use alang::ExecBackend;
-use isp_obs::wal::{fnv1a, read_wal, WalRecord, WalWriter};
+use isp_obs::wal::{read_wal, WalRecord, WalWriter};
+use isp_obs::{Fingerprint, Fnv1a};
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::path::Path;
@@ -120,8 +121,10 @@ impl ExecJournal {
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors; torn or corrupt journal content never
-    /// errors (it is truncated away).
+    /// Propagates I/O errors, including the
+    /// [`io::ErrorKind::InvalidData`] a journal of another WAL format
+    /// version raises; torn or corrupt journal content never errors (it
+    /// is truncated away).
     pub fn resume_from(path: &Path) -> io::Result<(ExecJournal, ResumeInfo)> {
         let outcome = read_wal(path)?;
         let info = ResumeInfo {
@@ -243,23 +246,39 @@ pub fn backend_code(backend: ExecBackend) -> u8 {
 }
 
 /// Fingerprint of an [`OffloadPlan`]'s deterministic planning outcome:
-/// FNV-1a over the debug rendering of the fitted predictions,
-/// calibration, copy-elimination flags, estimates, and Algorithm-1
-/// assignment. Two plans agree iff planning reached the same decisions,
-/// which is exactly the precondition for a journal replay to be
-/// meaningful. Wall-clock timings are deliberately excluded.
+/// the canonical fingerprint of the fitted predictions, calibration,
+/// copy-elimination flags, estimates, Algorithm-1 assignment, and
+/// sampled dataset types. Two plans agree iff planning reached the same
+/// decisions, which is exactly the precondition for a journal replay to
+/// be meaningful. Wall-clock timings, the Eq. 1 audit capture, and the
+/// artifacts planning derives from the hashed fields are deliberately
+/// excluded; a new `OffloadPlan` field fails to compile here until it is
+/// placed on one side or the other.
 #[must_use]
 pub fn plan_fingerprint(plan: &OffloadPlan) -> u64 {
-    let repr = format!(
-        "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
-        plan.predictions,
-        plan.calibration,
-        plan.copy_elim,
-        plan.estimates,
-        plan.assignment,
-        plan.sampling.dataset_types,
-    );
-    fnv1a(repr.as_bytes())
+    let OffloadPlan {
+        program: _,
+        lowered: _,
+        sampling,
+        predictions,
+        calibration,
+        copy_elim,
+        estimates,
+        assignment,
+        sampling_secs: _,
+        compile_secs: _,
+        full_storage: _,
+        timings: _,
+        eq1: _,
+    } = plan;
+    let mut h = Fnv1a::new();
+    predictions.fingerprint_into(&mut h);
+    calibration.fingerprint_into(&mut h);
+    copy_elim.fingerprint_into(&mut h);
+    estimates.fingerprint_into(&mut h);
+    assignment.fingerprint_into(&mut h);
+    sampling.dataset_types.fingerprint_into(&mut h);
+    h.finish()
 }
 
 #[cfg(test)]

@@ -43,7 +43,7 @@ use csd_sim::contention::{ContentionScenario, Trigger};
 use csd_sim::fault::{FaultCounters, FaultPlan};
 use csd_sim::units::{Bandwidth, Duration, Ops, SimTime};
 use csd_sim::{EngineKind, Fleet, System, SystemConfig};
-use isp_obs::SpanKind;
+use isp_obs::{Fingerprint, SpanKind};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 

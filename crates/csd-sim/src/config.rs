@@ -49,6 +49,23 @@ pub struct SystemConfig {
     pub dma_setup: Duration,
 }
 
+isp_obs::fingerprint_fields!(SystemConfig {
+    host,
+    cse,
+    flash_capacity,
+    flash_internal_bandwidth,
+    gc,
+    nvme_bandwidth,
+    nvme_latency,
+    pcie_bandwidth,
+    pcie_latency,
+    queue_latencies,
+    queue_depth,
+    host_dram,
+    device_dram,
+    dma_setup
+});
+
 impl SystemConfig {
     /// The paper's experimental platform (§IV-A).
     #[must_use]

@@ -9,6 +9,7 @@
 use crate::availability::AvailabilityTrace;
 use crate::counters::PerfCounters;
 use crate::units::{Duration, OpRate, Ops, SimTime};
+use isp_obs::{Fingerprint, Fnv1a};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -56,6 +57,23 @@ pub struct EngineSpec {
     /// data-parallel kernels the workloads use.
     pub parallel_efficiency: f64,
 }
+
+impl Fingerprint for EngineKind {
+    fn fingerprint_into(&self, h: &mut Fnv1a) {
+        h.write_u8(match self {
+            EngineKind::Host => 0,
+            EngineKind::Cse => 1,
+        });
+    }
+}
+
+isp_obs::fingerprint_fields!(EngineSpec {
+    kind,
+    freq_hz,
+    ipc,
+    cores,
+    parallel_efficiency
+});
 
 impl EngineSpec {
     /// Aggregate nominal throughput of the engine.

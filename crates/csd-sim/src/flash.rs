@@ -26,6 +26,12 @@ pub struct GcSchedule {
     pub residual_fraction: f64,
 }
 
+isp_obs::fingerprint_fields!(GcSchedule {
+    period,
+    window,
+    residual_fraction
+});
+
 impl GcSchedule {
     /// Validates the schedule.
     ///

@@ -92,6 +92,13 @@ pub struct QueueLatencies {
     pub status_update: Duration,
 }
 
+isp_obs::fingerprint_fields!(QueueLatencies {
+    submit,
+    fetch,
+    complete,
+    status_update
+});
+
 impl Default for QueueLatencies {
     fn default() -> Self {
         QueueLatencies {

@@ -8,6 +8,7 @@
 //!
 //! [C-NEWTYPE]: https://rust-lang.github.io/api-guidelines/type-safety.html
 
+use isp_obs::{Fingerprint, Fnv1a};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
@@ -84,6 +85,12 @@ impl fmt::Display for SimTime {
 /// A span of simulated time, in seconds.
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
 pub struct Duration(f64);
+
+impl Fingerprint for Duration {
+    fn fingerprint_into(&self, h: &mut Fnv1a) {
+        h.write_f64(self.0);
+    }
+}
 
 impl Duration {
     /// A zero-length span.
@@ -229,6 +236,12 @@ impl Sum for Duration {
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
 )]
 pub struct Bytes(u64);
+
+impl Fingerprint for Bytes {
+    fn fingerprint_into(&self, h: &mut Fnv1a) {
+        h.write_u64(self.0);
+    }
+}
 
 impl Bytes {
     /// Zero bytes.
@@ -415,6 +428,12 @@ impl Sum for Ops {
 /// A data-transfer rate in bytes per second.
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
 pub struct Bandwidth(f64);
+
+impl Fingerprint for Bandwidth {
+    fn fingerprint_into(&self, h: &mut Fnv1a) {
+        h.write_f64(self.0);
+    }
+}
 
 impl Bandwidth {
     /// Creates a bandwidth of `bps` bytes per second.

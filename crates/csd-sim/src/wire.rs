@@ -21,6 +21,7 @@
 //! get real compression ratios on patterned data (especially after the
 //! byte shuffle) while staying a few hundred lines.
 
+use isp_obs::{Fingerprint, Fnv1a};
 use serde::{Deserialize, Serialize};
 
 /// Compression codec of an encoded stream.
@@ -65,6 +66,34 @@ pub struct Encoding {
     pub fill_value: Option<f64>,
 }
 
+/// The descriptor's fingerprint is folded into plan-cache keys, so plans
+/// for differently-encoded inputs never collide. The fill sentinel is
+/// hashed by raw bit pattern, exactly as decode compares it: NaN
+/// sentinels with different payloads mask different elements, so they
+/// fingerprint apart (the one place this hash is finer than canonical
+/// `f64` equality).
+impl Fingerprint for Encoding {
+    fn fingerprint_into(&self, h: &mut Fnv1a) {
+        let Encoding {
+            codec,
+            shuffle,
+            byte_order,
+            fill_value,
+        } = self;
+        h.write_u8(match codec {
+            Codec::Gzip => 1,
+            Codec::Zlib => 2,
+            Codec::None => 3,
+        });
+        shuffle.fingerprint_into(h);
+        h.write_u8(match byte_order {
+            ByteOrder::Little => 0,
+            ByteOrder::Big => 1,
+        });
+        fill_value.map(f64::to_bits).fingerprint_into(h);
+    }
+}
+
 impl Encoding {
     /// The trivial encoding: native little-endian, no shuffle, no
     /// compression, no fill.
@@ -88,39 +117,6 @@ impl Encoding {
             byte_order: ByteOrder::Little,
             fill_value: None,
         }
-    }
-
-    /// Stable 64-bit fingerprint of the descriptor (FNV-1a over a
-    /// canonical rendering, fill compared by bit pattern). Folded into
-    /// plan-cache keys so plans for differently-encoded inputs never
-    /// collide.
-    #[must_use]
-    pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |b: u8| {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        eat(match self.codec {
-            Codec::Gzip => 1,
-            Codec::Zlib => 2,
-            Codec::None => 3,
-        });
-        eat(u8::from(self.shuffle));
-        eat(match self.byte_order {
-            ByteOrder::Little => 0,
-            ByteOrder::Big => 1,
-        });
-        match self.fill_value {
-            None => eat(0),
-            Some(f) => {
-                eat(1);
-                for b in f.to_bits().to_le_bytes() {
-                    eat(b);
-                }
-            }
-        }
-        h
     }
 
     /// Encodes a slice of f64s into the wire representation.
@@ -1031,6 +1027,15 @@ mod tests {
             },
             Encoding {
                 fill_value: Some(-9999.0),
+                ..base
+            },
+            // Fill sentinels compare by bit pattern, NaN payloads included.
+            Encoding {
+                fill_value: Some(f64::NAN),
+                ..base
+            },
+            Encoding {
+                fill_value: Some(f64::from_bits(0x7ff0_0000_0000_0bad)),
                 ..base
             },
         ];

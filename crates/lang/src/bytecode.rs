@@ -16,6 +16,7 @@ use crate::error::{LangError, Result};
 use crate::interp::{apply_binary, apply_unary, charge_elementwise, charge_temp, LineRecord};
 use crate::par::{ParEngine, ParStatsNondet, ParStatsSnapshot, ParallelPolicy};
 use crate::value::Value;
+use isp_obs::{Fingerprint, Fnv1a};
 use std::collections::BTreeMap;
 
 /// Which engine executes ALang lines.
@@ -30,6 +31,15 @@ pub enum ExecBackend {
     /// The lowered register-bytecode VM.
     #[default]
     Vm,
+}
+
+impl Fingerprint for ExecBackend {
+    fn fingerprint_into(&self, h: &mut Fnv1a) {
+        h.write_u8(match self {
+            ExecBackend::AstWalk => 0,
+            ExecBackend::Vm => 1,
+        });
+    }
 }
 
 /// One register-style instruction. Operands are slot indices into the VM's

@@ -15,6 +15,7 @@
 //! the code generator may remove.
 
 use crate::ast::{BinOp, Expr, Program, UnOp};
+use isp_obs::{Fingerprint, Fnv1a};
 use std::collections::BTreeMap;
 
 /// The static type lattice (flat, with `Unknown` as bottom).
@@ -42,6 +43,24 @@ pub enum StaticType {
     Encoded,
     /// Not statically determinable.
     Unknown,
+}
+
+impl Fingerprint for StaticType {
+    fn fingerprint_into(&self, h: &mut Fnv1a) {
+        h.write_u8(match self {
+            StaticType::Num => 0,
+            StaticType::Bool => 1,
+            StaticType::Str => 2,
+            StaticType::Array => 3,
+            StaticType::BoolArray => 4,
+            StaticType::Table => 5,
+            StaticType::Matrix => 6,
+            StaticType::Csr => 7,
+            StaticType::Forest => 8,
+            StaticType::Encoded => 9,
+            StaticType::Unknown => 10,
+        });
+    }
 }
 
 impl StaticType {

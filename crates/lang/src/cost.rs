@@ -76,6 +76,12 @@ impl CostParams {
     }
 }
 
+isp_obs::fingerprint_fields!(CostParams {
+    copy_ops_per_byte,
+    dispatch_overhead,
+    scan_ops_per_byte
+});
+
 impl Default for CostParams {
     fn default() -> Self {
         CostParams::paper_default()
@@ -100,6 +106,16 @@ pub struct LineCost {
     /// Number of library calls on the line.
     pub calls: u32,
 }
+
+isp_obs::fingerprint_fields!(LineCost {
+    compute_ops,
+    storage_bytes,
+    bytes_in,
+    bytes_out,
+    copy_bytes,
+    eliminable_copy_bytes,
+    calls
+});
 
 impl LineCost {
     /// A zero cost.

@@ -26,6 +26,14 @@ pub struct TreeNode {
     pub value: f64,
 }
 
+isp_obs::fingerprint_fields!(TreeNode {
+    feature,
+    threshold,
+    left,
+    right,
+    value
+});
+
 impl TreeNode {
     /// Sentinel child index marking a leaf.
     pub const LEAF: u32 = u32::MAX;
@@ -66,6 +74,8 @@ impl TreeNode {
 pub struct Tree {
     nodes: Vec<TreeNode>,
 }
+
+isp_obs::fingerprint_fields!(Tree { nodes });
 
 impl Tree {
     /// Builds a tree; node 0 is the root.
@@ -161,6 +171,8 @@ pub struct Forest {
     trees: Arc<Vec<Tree>>,
     features: u32,
 }
+
+isp_obs::fingerprint_fields!(Forest { trees, features });
 
 impl Forest {
     /// Builds a forest over `features` feature columns.

@@ -22,6 +22,14 @@ pub struct Matrix {
     logical_cols: u64,
 }
 
+isp_obs::fingerprint_fields!(Matrix {
+    data,
+    rows,
+    cols,
+    logical_rows,
+    logical_cols
+});
+
 impl Matrix {
     /// Builds a matrix whose logical size equals its materialized size.
     ///
@@ -259,6 +267,17 @@ pub struct Csr {
     logical_cols: u64,
     logical_nnz: u64,
 }
+
+isp_obs::fingerprint_fields!(Csr {
+    row_ptr,
+    col_idx,
+    values,
+    rows,
+    cols,
+    logical_rows,
+    logical_cols,
+    logical_nnz
+});
 
 impl Csr {
     /// Rebuilds a CSR matrix from its raw arrays (the inverse of reading

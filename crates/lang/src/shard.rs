@@ -26,6 +26,7 @@ use crate::ast::{Expr, Program};
 use crate::builtins::Storage;
 use crate::table::{Column, Table};
 use crate::value::Value;
+use isp_obs::{Fingerprint, Fnv1a};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -53,6 +54,28 @@ pub struct ShardMap {
     strategy: ShardStrategy,
     sharded: BTreeSet<String>,
 }
+
+impl Fingerprint for ShardStrategy {
+    fn fingerprint_into(&self, h: &mut Fnv1a) {
+        match self {
+            ShardStrategy::Range => h.write_u8(0),
+            ShardStrategy::Hash(seed) => {
+                h.write_u8(1);
+                h.write_u64(*seed);
+            }
+        }
+    }
+}
+
+// Covers the full placement description — shard count, bounds, strategy,
+// and sharded names — so two maps that could ever place data differently
+// never collide in a cache key.
+isp_obs::fingerprint_fields!(ShardMap {
+    rows,
+    bounds,
+    strategy,
+    sharded
+});
 
 /// splitmix64: the deterministic stream behind hash-bucket jitter.
 fn splitmix64(x: u64) -> u64 {
@@ -215,36 +238,6 @@ impl ShardMap {
     /// The partitioned storage names, in sorted order.
     pub fn sharded_sources(&self) -> impl Iterator<Item = &str> {
         self.sharded.iter().map(String::as_str)
-    }
-
-    /// FNV-1a over the full placement description — shard count, bounds,
-    /// strategy, and sharded names — so two maps that could ever place
-    /// data differently never collide in a cache key.
-    #[must_use]
-    pub fn fingerprint(&self) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |bytes: &[u8]| {
-            for b in bytes {
-                hash ^= u64::from(*b);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        mix(&self.rows.to_le_bytes());
-        for b in &self.bounds {
-            mix(&b.to_le_bytes());
-        }
-        match self.strategy {
-            ShardStrategy::Range => mix(b"range"),
-            ShardStrategy::Hash(seed) => {
-                mix(b"hash");
-                mix(&seed.to_le_bytes());
-            }
-        }
-        for name in &self.sharded {
-            mix(name.as_bytes());
-            mix(&[0]);
-        }
-        hash
     }
 
     /// Materializes shard `s`'s slice of `storage`: sharded values keep

@@ -12,6 +12,7 @@
 
 use crate::error::{LangError, Result};
 use crate::par::ParEngine;
+use isp_obs::{Fingerprint, Fnv1a};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -30,6 +31,26 @@ pub enum Column {
         /// The dictionary, indexed by code.
         dict: Arc<Vec<String>>,
     },
+}
+
+impl Fingerprint for Column {
+    fn fingerprint_into(&self, h: &mut Fnv1a) {
+        match self {
+            Column::F64(v) => {
+                h.write_u8(0);
+                v.fingerprint_into(h);
+            }
+            Column::I64(v) => {
+                h.write_u8(1);
+                v.fingerprint_into(h);
+            }
+            Column::Dict { codes, dict } => {
+                h.write_u8(2);
+                codes.fingerprint_into(h);
+                dict.fingerprint_into(h);
+            }
+        }
+    }
 }
 
 impl Column {
@@ -147,6 +168,12 @@ pub struct Table {
     rows: usize,
     logical_rows: u64,
 }
+
+isp_obs::fingerprint_fields!(Table {
+    columns,
+    rows,
+    logical_rows
+});
 
 impl Table {
     /// Builds a table from `(name, column)` pairs whose logical size equals

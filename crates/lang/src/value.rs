@@ -13,6 +13,7 @@ use crate::forest::Forest;
 use crate::matrix::{Csr, Matrix};
 use crate::table::Table;
 use csd_sim::wire::Encoding;
+use isp_obs::{Fingerprint, Fnv1a};
 use std::fmt;
 use std::sync::Arc;
 
@@ -48,6 +49,14 @@ impl PartialEq for EncodedVal {
             && (Arc::ptr_eq(&self.chunks, &other.chunks) || self.chunks == other.chunks)
     }
 }
+
+isp_obs::fingerprint_fields!(EncodedVal {
+    encoding,
+    chunks,
+    actual_len,
+    logical_len,
+    encoded_logical_bytes
+});
 
 impl EncodedVal {
     /// Encodes a materialized sample standing for `logical_len`
@@ -178,6 +187,8 @@ impl PartialEq for ArrayVal {
     }
 }
 
+isp_obs::fingerprint_fields!(ArrayVal { data, logical_len });
+
 impl ArrayVal {
     /// Builds an array whose logical length equals its materialized length.
     #[must_use]
@@ -254,6 +265,8 @@ impl PartialEq for BoolArrayVal {
             && (Arc::ptr_eq(&self.data, &other.data) || self.data == other.data)
     }
 }
+
+isp_obs::fingerprint_fields!(BoolArrayVal { data, logical_len });
 
 impl BoolArrayVal {
     /// Builds a mask whose logical length equals its materialized length.
@@ -341,6 +354,32 @@ pub enum Value {
     Forest(Forest),
     /// Bulk numeric data still in its on-storage wire format.
     Encoded(EncodedVal),
+}
+
+/// The answer-integrity hash: every variant is type-tagged, every float
+/// canonical (one NaN, signed zeros distinct), every sequence
+/// length-prefixed — so two values fingerprint alike exactly when they
+/// render alike under `Debug`, without formatting either. The one
+/// exception is an encoded stream's fill sentinel, hashed by raw bits
+/// (see [`Encoding`]'s impl), so NaN sentinels with different payloads
+/// differ.
+impl Fingerprint for Value {
+    fn fingerprint_into(&self, h: &mut Fnv1a) {
+        let (tag, payload): (u8, &dyn Fingerprint) = match self {
+            Value::Num(x) => (0, x),
+            Value::Bool(b) => (1, b),
+            Value::Str(s) => (2, s),
+            Value::Array(a) => (3, a),
+            Value::BoolArray(m) => (4, m),
+            Value::Table(t) => (5, t),
+            Value::Matrix(m) => (6, m),
+            Value::Csr(c) => (7, c),
+            Value::Forest(f) => (8, f),
+            Value::Encoded(e) => (9, e),
+        };
+        h.write_u8(tag);
+        payload.fingerprint_into(h);
+    }
 }
 
 impl Value {

@@ -23,6 +23,11 @@
 //!   with simulated time rendered as a second process track), plus the
 //!   parser/summarizer behind the `trace` analysis binary.
 //!
+//! Alongside them, [`fingerprint`] holds the workspace's one hash: a
+//! streaming FNV-1a hasher and the [`Fingerprint`] trait that feeds it
+//! canonical bytes, behind every answer, plan, and cache-key fingerprint
+//! and the [`wal`] frame checksums.
+//!
 //! **Determinism contract:** event identity, ordering, names, kinds,
 //! attributes, and simulated times depend only on the traced computation;
 //! only `wall_ns` fields vary run to run. Exporters therefore accept a
@@ -33,11 +38,13 @@
 #![warn(missing_debug_implementations)]
 
 pub mod export;
+pub mod fingerprint;
 pub mod journal;
 pub mod metrics;
 pub mod span;
 pub mod wal;
 
+pub use fingerprint::{fnv1a, Fingerprint, Fnv1a};
 pub use journal::{
     diff_journals, footer_snapshot, parse_journal, render_diff, summarize, Journal, JournalDiff,
     PhaseDelta,
@@ -48,6 +55,6 @@ pub use span::{
     Tracer,
 };
 pub use wal::{
-    fnv1a, parse_wal_bytes, read_wal, ByteReader, ByteWriter, StateSnap, WalReadOutcome, WalRecord,
+    parse_wal_bytes, read_wal, ByteReader, ByteWriter, StateSnap, WalReadOutcome, WalRecord,
     WalWriter, KILL_ENV, KILL_EXIT_CODE,
 };

@@ -14,7 +14,7 @@
 //! ## Framing
 //!
 //! ```text
-//! [ magic "ISPWAL01" : 8 bytes ]            (file header)
+//! [ magic "ISPWAL02" : 8 bytes ]            (file header)
 //! [ u32 len (LE) ][ u64 fnv1a(payload) (LE) ][ payload : len bytes ]*
 //! ```
 //!
@@ -22,7 +22,7 @@
 //! assembled, so a crash between appends leaves a clean prefix and a
 //! crash mid-append leaves a detectably torn tail (short payload or
 //! checksum mismatch). The checksum is FNV-1a over the payload bytes —
-//! the same hash the runtime uses for value fingerprints — which is
+//! the [`crate::fingerprint`] hasher fed raw bytes — which is
 //! collision-weak cryptographically but exactly strong enough to detect
 //! torn writes and bit rot in a single-writer log.
 //!
@@ -42,12 +42,16 @@
 //! deliberately torn frame, so the reader's truncation rule is exercised
 //! by every externally killed run.
 
+use crate::fingerprint::fnv1a;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
-/// File header identifying a WAL and its format version.
-pub const WAL_MAGIC: [u8; 8] = *b"ISPWAL01";
+/// File header identifying a WAL and its format version. Version 02
+/// carries `plan_fp`, `shard_fp` and `RunEnd` fingerprints from the
+/// canonical [`crate::fingerprint`] hasher; version 01 files hashed
+/// `Debug` renderings and are rejected by [`read_wal`].
+pub const WAL_MAGIC: [u8; 8] = *b"ISPWAL02";
 
 /// Exit code used by the `ISP_WAL_KILL_AFTER` crash hook.
 pub const KILL_EXIT_CODE: i32 = 86;
@@ -59,17 +63,6 @@ pub const KILL_ENV: &str = "ISP_WAL_KILL_AFTER";
 /// Upper bound on a sane record payload; anything larger is treated as a
 /// torn length prefix. Real records are well under 200 bytes.
 const MAX_RECORD_LEN: u32 = 1 << 16;
-
-/// FNV-1a over `bytes` — the workspace's standard fingerprint hash.
-#[must_use]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// A deterministic snapshot of the runtime state that must agree between
 /// the original run and its replay at every journaled boundary: the sim
@@ -662,15 +655,37 @@ pub fn parse_wal_bytes(bytes: &[u8]) -> WalReadOutcome {
     }
 }
 
+/// Whether `bytes` opens with the header of another WAL format version
+/// (`ISPWAL` plus two digits other than [`WAL_MAGIC`]'s). A crash leaves
+/// a prefix of the current header, not another version's, so this is a
+/// journal whose fingerprints this build cannot verify, not a torn write.
+fn stale_version(bytes: &[u8]) -> bool {
+    bytes.get(..WAL_MAGIC.len()).is_some_and(|head| {
+        head[..6] == WAL_MAGIC[..6] && head[6..].iter().all(u8::is_ascii_digit) && head != WAL_MAGIC
+    })
+}
+
 /// Reads and parses a WAL file under the torn-tail rule.
 ///
 /// # Errors
 ///
-/// Only I/O errors (missing file, unreadable) surface; corruption never
-/// does.
+/// I/O errors (missing file, unreadable) surface, and so does a journal
+/// written by another format version ([`io::ErrorKind::InvalidData`]):
+/// its fingerprints would never match this build's, so a resume must
+/// fail loudly rather than diverge. Corruption never errors.
 pub fn read_wal(path: &Path) -> io::Result<WalReadOutcome> {
     let mut bytes = Vec::new();
     File::open(path)?.read_to_end(&mut bytes)?;
+    if stale_version(&bytes) {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "WAL format {} is not {}",
+                String::from_utf8_lossy(&bytes[..WAL_MAGIC.len()]),
+                String::from_utf8_lossy(&WAL_MAGIC),
+            ),
+        ));
+    }
     Ok(parse_wal_bytes(&bytes))
 }
 
@@ -943,6 +958,29 @@ mod tests {
         let out = read_wal(&path).expect("read");
         assert_eq!(out.records, recs[..2]);
         assert!(out.torn);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn older_format_version_is_rejected_not_replayed() {
+        let path = tmp_path("stale");
+        let mut w = WalWriter::create(&path).expect("create");
+        for r in &sample_records() {
+            w.append(r).expect("append");
+        }
+        drop(w);
+        let mut bytes = std::fs::read(&path).expect("read bytes");
+        bytes[..8].copy_from_slice(b"ISPWAL01");
+        std::fs::write(&path, &bytes).expect("write stale");
+        let err = read_wal(&path).expect_err("ISPWAL01 must not parse");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("ISPWAL01"), "{err}");
+        // Garbage and torn headers keep the torn-tail rule.
+        let heads: [&[u8]; 3] = [b"ISPWAL\xEE\xEE", b"ISPW", b"not a wal"];
+        for head in heads {
+            std::fs::write(&path, head).expect("write garbage");
+            assert!(read_wal(&path).expect("garbage reads").records.is_empty());
+        }
         std::fs::remove_file(&path).ok();
     }
 

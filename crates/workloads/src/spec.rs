@@ -6,6 +6,7 @@ use alang::builtins::Storage;
 use alang::error::Result;
 use alang::{parser, Program};
 use csd_sim::wire::Encoding;
+use isp_obs::Fingerprint;
 use std::fmt;
 use std::sync::Arc;
 
@@ -111,25 +112,15 @@ impl InputSource for Workload {
         Workload::storage_at(self, scale)
     }
 
-    /// FNV-1a over the declared `(dataset, encoding)` pairs — `0` for
-    /// plain workloads, matching the trait default. Computed from the
-    /// declarations alone, so plan-cache keys never materialize storage.
+    /// Canonical fingerprint of the declared `(dataset, encoding)` pairs
+    /// — `0` for plain workloads, matching the trait default. Computed
+    /// from the declarations alone, so plan-cache keys never materialize
+    /// storage.
     fn wire_fingerprint(&self) -> u64 {
         if self.encodings.is_empty() {
             return 0;
         }
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for (name, enc) in &self.encodings {
-            for &byte in name
-                .as_bytes()
-                .iter()
-                .chain(&enc.fingerprint().to_le_bytes())
-            {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        hash
+        self.encodings.fingerprint()
     }
 }
 

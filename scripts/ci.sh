@@ -4,6 +4,20 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "== one FNV-1a primitive (offset basis and prime live only in the hasher) =="
+# Every 64-bit fingerprint and frame checksum in the workspace goes through
+# crates/obs/src/fingerprint.rs; a hand-rolled FNV loop anywhere else forks
+# the hash. The scan covers the workspace sources; vendor/ (third-party
+# stand-ins) and perfbench/ (a standalone package that calls no workspace
+# hashing) are outside it.
+FNV_HITS="$(grep -rniE --include='*.rs' 'cbf2_?9ce4_?8422_?2325|100_?0000_?01b3' \
+  crates src tests examples | grep -v '^crates/obs/src/fingerprint\.rs:' || true)"
+if [ -n "$FNV_HITS" ]; then
+  echo "FNV-1a constants outside crates/obs/src/fingerprint.rs:"
+  echo "$FNV_HITS"
+  exit 1
+fi
+
 echo "== cargo build --release =="
 cargo build --release
 
