@@ -16,8 +16,8 @@ use alang::{ExecBackend, ExecTier};
 use csd_sim::{EngineKind, SystemConfig};
 use isp_workloads::Workload;
 
-/// Runs `workload` entirely on the host at the given code `tier` using the
-/// default (VM) backend, returning the execution report.
+/// Runs `workload` entirely on the host at the given code `tier`,
+/// returning the execution report.
 ///
 /// Copy elimination (for [`ExecTier::CompiledCopyElim`]) uses dataset types
 /// observed from a tiny probe materialization, mirroring what ActivePy
@@ -31,20 +31,6 @@ pub fn run_host_only(
     config: &SystemConfig,
     tier: ExecTier,
 ) -> Result<RunReport> {
-    run_host_only_with(workload, config, tier, ExecBackend::default())
-}
-
-/// As [`run_host_only`], on an explicit evaluation backend.
-///
-/// # Errors
-///
-/// Propagates parse and execution failures.
-pub fn run_host_only_with(
-    workload: &Workload,
-    config: &SystemConfig,
-    tier: ExecTier,
-    backend: ExecBackend,
-) -> Result<RunReport> {
     let program = workload.program()?;
     let storage = workload.storage_at(1.0);
     let copy_elim = match tier {
@@ -57,7 +43,6 @@ pub fn run_host_only_with(
     let lowered = alang::lower::lower_with(&program, &copy_elim)?;
     let opts = ExecOptions {
         tier,
-        backend,
         offload_overheads: false,
         ..ExecOptions::native_static()
     };
@@ -72,6 +57,17 @@ pub fn run_host_only_with(
         &opts,
     )?;
     Ok(report)
+}
+
+/// [`run_host_only`]; the backend is ignored.
+#[doc(hidden)] // Kept only for perfbench/'s call signature; the next benchmark change deletes it.
+pub fn run_host_only_with(
+    workload: &Workload,
+    config: &SystemConfig,
+    tier: ExecTier,
+    _backend: ExecBackend,
+) -> Result<RunReport> {
+    run_host_only(workload, config, tier)
 }
 
 /// Runs the C (native, host-only) baseline — the paper's reference point.
@@ -119,22 +115,6 @@ mod tests {
                 "{}: ladder violated ({native}, {elim}, {compiled}, {interp})",
                 w.name()
             );
-        }
-    }
-
-    #[test]
-    fn backends_agree_on_every_tier() {
-        let config = SystemConfig::paper_default();
-        let q6 = isp_workloads::by_name("TPC-H-6").expect("q6");
-        for tier in [
-            ExecTier::Native,
-            ExecTier::CompiledCopyElim,
-            ExecTier::Compiled,
-            ExecTier::Interpreted,
-        ] {
-            let vm = run_host_only_with(&q6, &config, tier, ExecBackend::Vm).expect("vm");
-            let ast = run_host_only_with(&q6, &config, tier, ExecBackend::AstWalk).expect("ast");
-            assert_eq!(vm, ast, "{tier:?} diverged between backends");
         }
     }
 

@@ -7,12 +7,14 @@ use alang::copyelim::eliminable_lines;
 use alang::{CostParams, ExecTier};
 use criterion::{criterion_group, criterion_main, Criterion};
 use csd_sim::SystemConfig;
+use isp_obs::Tracer;
 
 fn bench_ablation(c: &mut Criterion) {
     let config = SystemConfig::paper_default();
     let w = isp_workloads::by_name("TPC-H-1").expect("registered");
     let program = w.program().expect("parse");
-    let sampling = run_sampling(&program, &w, &paper_scales()).expect("sampling");
+    let sampling =
+        run_sampling(&program, &w, &paper_scales(), &Tracer::disabled()).expect("sampling");
     let predictions = predict_lines(&sampling.lines).expect("fit");
     let copy_elim = eliminable_lines(&program, &sampling.dataset_types);
     let estimates = estimate_lines(

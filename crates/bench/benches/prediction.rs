@@ -2,6 +2,7 @@
 use activepy::fit::predict_lines;
 use activepy::sampling::{paper_scales, run_sampling};
 use criterion::{criterion_group, criterion_main, Criterion};
+use isp_obs::Tracer;
 
 fn bench_prediction(c: &mut Criterion) {
     let w = isp_workloads::by_name("PageRank").expect("registered");
@@ -12,7 +13,8 @@ fn bench_prediction(c: &mut Criterion) {
     g.measurement_time(std::time::Duration::from_secs(2));
     g.bench_function("sample_and_fit_pagerank", |b| {
         b.iter(|| {
-            let sampling = run_sampling(&program, &w, &paper_scales()).expect("sampling");
+            let sampling =
+                run_sampling(&program, &w, &paper_scales(), &Tracer::disabled()).expect("sampling");
             std::hint::black_box(predict_lines(&sampling.lines).expect("fit"))
         })
     });

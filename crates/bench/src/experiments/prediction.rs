@@ -10,7 +10,7 @@
 use crate::geomean;
 use activepy::runtime::ActivePy;
 use activepy::PlanCache;
-use alang::Interpreter;
+use alang::Vm;
 use csd_sim::SystemConfig;
 use serde::Serialize;
 
@@ -83,8 +83,10 @@ pub fn run_with(config: &SystemConfig, cache: &PlanCache) -> Report {
             let plan = cache
                 .plan_for(&rt, w.name(), &program, &w, config)
                 .expect("planning succeeds");
-            let mut interp = Interpreter::new(&plan.full_storage);
-            let measured = interp.run(&program, &[]).expect("full-scale run");
+            let lowered = alang::lower::lower(&program).expect("registered workloads lower");
+            let measured = Vm::new(&lowered, &plan.full_storage)
+                .run()
+                .expect("full-scale run");
             plan.predictions
                 .iter()
                 .zip(&measured)

@@ -13,7 +13,7 @@
 
 use crate::error::Result;
 use crate::fit::LinePrediction;
-use alang::{parser, CostParams, ExecTier, Interpreter, LineCost, Storage, Value};
+use alang::{lower, parser, CostParams, ExecTier, LineCost, Storage, Value, Vm};
 use csd_sim::units::Ops;
 use csd_sim::{EngineKind, SystemConfig};
 use serde::{Deserialize, Serialize};
@@ -69,8 +69,12 @@ impl Calibration {
         );
         let program =
             parser::parse("a = scan('probe')\nb = sqrt(a * 3 + 1)\nc = sum(exp(b - 2))\n")?;
-        let mut interp = Interpreter::new(&storage);
-        let cost: LineCost = interp.run(&program, &[])?.iter().map(|r| r.cost).sum();
+        let lowered = lower::lower(&program)?;
+        let cost: LineCost = Vm::new(&lowered, &storage)
+            .run()?
+            .iter()
+            .map(|r| r.cost)
+            .sum();
         let ops = Ops::new(cost.effective_ops(ExecTier::Compiled, params));
         let mut sys = config.build();
         let host = sys.compute(EngineKind::Host, ops);

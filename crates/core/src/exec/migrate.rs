@@ -16,30 +16,58 @@ use csd_sim::{EngineKind, System};
 use isp_obs::{SpanKind, StateSnap, WalRecord};
 
 /// The work a migration would move to the other engine.
-pub(super) struct Remainder {
+struct Remainder {
     /// Estimated seconds to finish it on the device at full availability.
-    pub(super) device_secs: f64,
+    device_secs: f64,
     /// Estimated seconds to finish it on the host.
-    pub(super) host_secs: f64,
+    host_secs: f64,
     /// Live state that must cross the interconnect with it.
-    pub(super) move_bytes: u64,
+    move_bytes: u64,
     /// Code regeneration for the moved lines on the receiving engine.
-    pub(super) regen_secs: f64,
+    regen_secs: f64,
 }
 
-/// The host-ward rule (§III-D): once the monitor reports degraded
-/// throughput, the remainder breaks to the host when its re-estimated
-/// device time exceeds draining the live state, regenerating host code,
-/// and finishing on the host.
-pub(super) fn break_pays(system: &System, monitor: &Monitor, rem: &Remainder) -> bool {
+/// The host-ward rule (§III-D), applied once the monitor reports degraded
+/// throughput at a chunk boundary of the region `start..=end`,
+/// `done_fraction` of the way through its stream. The remainder is the
+/// region's undone share plus every later CSD line, and moving it carries
+/// `move_bytes` of live state; it breaks to the host when its
+/// re-estimated device time exceeds draining the live state, regenerating
+/// host code, and finishing on the host.
+pub(super) fn break_pays(
+    system: &System,
+    monitor: &Monitor,
+    est: &[LineEstimate],
+    placements: &[EngineKind],
+    (start, end): (usize, usize),
+    done_fraction: f64,
+    move_bytes: u64,
+) -> bool {
+    let later_csd: Vec<&LineEstimate> = est
+        .iter()
+        .filter(|e| e.line > end && placements[e.line] == EngineKind::Cse)
+        .collect();
+    let region_est: Vec<&LineEstimate> = est
+        .iter()
+        .filter(|e| e.line >= start && e.line <= end)
+        .collect();
+    let rem = Remainder {
+        device_secs: (1.0 - done_fraction) * region_est.iter().map(|e| e.ct_device).sum::<f64>()
+            + later_csd.iter().map(|e| e.ct_device).sum::<f64>(),
+        host_secs: (1.0 - done_fraction) * region_est.iter().map(|e| e.ct_host).sum::<f64>()
+            + later_csd.iter().map(|e| e.ct_host).sum::<f64>(),
+        move_bytes,
+        regen_secs: CompiledProgram::compile_secs_for(end - start + 1 + later_csd.len()),
+    };
     let bw = system.d2h_bandwidth().as_bytes_per_sec();
     monitor.reestimate_remaining(rem.device_secs)
         > rem.move_bytes as f64 / bw + rem.regen_secs + rem.host_secs
 }
 
 /// The reclaim rule, shared by the line-boundary ([`try_reclaim`]) and
-/// in-region reclaim paths: whether `rem` should return to the CSD now,
-/// after a degradation migrated it host-ward at `migrated_at`.
+/// in-region ([`try_reclaim_region`]) reclaim paths: whether `rem` should
+/// return to the CSD now, after a degradation migrated it host-ward at
+/// `migrated_at`.
 ///
 /// The rule is hysteresis-guarded against ping-ponging. One monitor window
 /// is the remainder's device time split into [`REGION_CHUNKS`]
@@ -50,15 +78,9 @@ pub(super) fn break_pays(system: &System, monitor: &Monitor, rem: &Remainder) ->
 /// needed to leave. Finishing on the device at the currently observed
 /// availability, plus moving `move_bytes` and regenerating device code,
 /// must then beat finishing on the host. Every quantity read is
-/// simulated-clock state, so the decision is identical across evaluation
-/// backends and, like every placement decision, cannot affect computed
-/// values.
-pub(super) fn reclaim_pays(
-    system: &System,
-    cfg: &MonitorConfig,
-    migrated_at: f64,
-    rem: &Remainder,
-) -> bool {
+/// simulated-clock state, so, like every placement decision, it cannot
+/// affect computed values.
+fn reclaim_pays(system: &System, cfg: &MonitorConfig, migrated_at: f64, rem: &Remainder) -> bool {
     let window = rem.device_secs / REGION_CHUNKS as f64;
     if window <= 0.0 {
         return false;
@@ -139,6 +161,68 @@ pub(super) fn try_reclaim(
     );
     system.advance(Duration::from_secs(remainder.regen_secs));
     Some(event)
+}
+
+/// After a mid-region [`MigrationReason::Degraded`] break at `migrated_at`
+/// moved the stream of the region starting at line `start` host-ward,
+/// decides at host line boundary `start + k` whether the region's
+/// unfinished slice should return to the CSD, under the one reclaim rule
+/// ([`reclaim_pays`]). The remainder is each line's estimate scaled by its
+/// undone fraction (`done_ops` of `ops`), and the `state_bytes` of live
+/// state must move back to device memory.
+#[allow(clippy::too_many_arguments)]
+pub(super) fn try_reclaim_region(
+    (start, k): (usize, usize),
+    ops: &[u64],
+    done_ops: &[u64],
+    reason: MigrationReason,
+    system: &System,
+    opts: &ExecOptions,
+    estimates: Option<&[LineEstimate]>,
+    state_bytes: u64,
+    migrated_at: f64,
+) -> Option<MigrationEvent> {
+    // Preempted tasks must stay off the device and fault fallbacks carry
+    // no evidence the device works; only degradations reverse.
+    if reason != MigrationReason::Degraded {
+        return None;
+    }
+    let cfg = opts.monitor?;
+    let est = estimates?;
+    let len = ops.len();
+    let undone = |j: usize| -> f64 {
+        if ops[j] == 0 {
+            0.0
+        } else {
+            1.0 - done_ops[j] as f64 / ops[j] as f64
+        }
+    };
+    let mut device_secs = 0.0;
+    let mut host_secs = 0.0;
+    for j in k..len {
+        let line = start + j;
+        if let Some(e) = est.iter().find(|e| e.line == line) {
+            device_secs += e.ct_device * undone(j);
+            host_secs += e.ct_host * undone(j);
+        }
+    }
+    let remainder = Remainder {
+        device_secs,
+        host_secs,
+        move_bytes: state_bytes,
+        regen_secs: CompiledProgram::compile_secs_for(len - k),
+    };
+    if !reclaim_pays(system, &cfg, migrated_at, &remainder) {
+        return None;
+    }
+    Some(announce(
+        opts,
+        MigrationReason::Reclaim,
+        (start + k).saturating_sub(1),
+        state_bytes,
+        remainder.regen_secs,
+        system.now().as_secs(),
+    ))
 }
 
 /// Announces a migration decision — in either direction — taken at

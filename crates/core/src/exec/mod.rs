@@ -27,13 +27,9 @@ use crate::estimate::LineEstimate;
 use crate::metrics::MetricsSnapshot;
 use crate::monitor::{Monitor, MonitorConfig};
 use crate::recovery::{Recovery, RecoveryPolicy};
-use crate::resume::backend_code;
 use crate::runtime::ActivePyOptions;
 use alang::compile::CompiledProgram;
-use alang::{
-    CostParams, ExecBackend, ExecTier, Interpreter, LineCost, LoweredProgram, ParStatsSnapshot,
-    ParallelPolicy, Program, Storage, Value, Vm,
-};
+use alang::{CostParams, ExecTier, LineCost, LoweredProgram, ParallelPolicy, Program, Storage, Vm};
 use csd_sim::contention::{ContentionScenario, Trigger};
 use csd_sim::fault::{DeviceFault, FaultPlan};
 use csd_sim::units::{Bytes, Duration, Ops};
@@ -65,10 +61,6 @@ pub struct ExecOptions {
     /// the call queue, the status-update code sees it at the next chunk
     /// boundary, and the task migrates unconditionally.
     pub preempt_at: Option<f64>,
-    /// The per-line evaluation engine: the lowered register-bytecode VM
-    /// (default) or the tree-walking reference interpreter. Both produce
-    /// byte-identical reports; they differ only in repro wall-clock.
-    pub backend: ExecBackend,
     /// How the run responds to injected device faults (retry budget,
     /// sim-time backoff, host fallback).
     pub recovery: RecoveryPolicy,
@@ -114,7 +106,6 @@ impl ExecOptions {
             monitor: Some(MonitorConfig::default()),
             offload_overheads: true,
             preempt_at: None,
-            backend: ExecBackend::default(),
             recovery: RecoveryPolicy::default(),
             faults: FaultPlan::none(),
             parallel: ParallelPolicy::default(),
@@ -136,7 +127,7 @@ impl ExecOptions {
 
     /// ActivePy's execution of a plan under `scenario`: generated
     /// copy-eliminated code, with every execution setting of the runtime's
-    /// `options` (cost model, monitoring, preemption, backend, recovery,
+    /// `options` (cost model, monitoring, preemption, recovery,
     /// faults, kernel policy, and the tracer, profile, and journal
     /// handles).
     #[must_use]
@@ -146,7 +137,6 @@ impl ExecOptions {
             scenario,
             monitor: options.monitor,
             preempt_at: options.preempt_at,
-            backend: options.backend,
             recovery: options.recovery,
             faults: options.faults.clone(),
             parallel: options.parallel,
@@ -175,13 +165,6 @@ impl ExecOptions {
     #[must_use]
     pub fn with_preemption_at(mut self, at_secs: f64) -> Self {
         self.preempt_at = Some(at_secs);
-        self
-    }
-
-    /// Selects the per-line evaluation backend.
-    #[must_use]
-    pub fn with_backend(mut self, backend: ExecBackend) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -471,75 +454,25 @@ impl RunReport {
     }
 }
 
-/// The per-line evaluation engine behind [`execute`]. Engine bookkeeping
-/// (variable locations, the shared address space, migration) stays
-/// name-keyed either way; only line evaluation and variable-size queries
-/// dispatch here.
-enum Evaluator<'a> {
-    Ast(Interpreter<'a>),
-    Vm(Vm<'a>),
-}
-
-impl Evaluator<'_> {
-    /// Evaluates `line`, eliminating its copies when `copy_elim` flags it,
-    /// and returns the cost the run is charged: the measured cost, or the
-    /// shard's share of it ([`shard_scaled_cost`]).
-    fn charged_line(
-        &mut self,
-        line: &alang::ast::Line,
-        copy_elim: &[bool],
-        shard: Option<&ShardSlice>,
-    ) -> alang::error::Result<LineCost> {
-        let elim = copy_elim.get(line.index).copied().unwrap_or(false);
-        let cost = match self {
-            Evaluator::Ast(interp) => interp.exec_line(line, elim),
-            Evaluator::Vm(vm) => vm.exec_line_with(line.index, elim),
-        }?;
-        Ok(match shard {
-            Some(sh) => shard_scaled_cost(sh, line.index, cost),
-            None => cost,
-        })
-    }
-
-    fn var_bytes(&self, name: &str) -> u64 {
-        match self {
-            Evaluator::Ast(interp) => interp.var_bytes(name),
-            Evaluator::Vm(vm) => vm.var_bytes(name),
-        }
-    }
-
-    /// A variable's current value; what the values fingerprint hashes.
-    /// Identical across backends because both hold the same
-    /// [`alang::Value`].
-    fn var(&self, name: &str) -> Option<&Value> {
-        match self {
-            Evaluator::Ast(interp) => interp.var(name),
-            Evaluator::Vm(vm) => vm.var(name),
-        }
-    }
-
-    /// Chunk/steal counters accumulated by the run's kernel calls.
-    fn par_stats(&self) -> ParStatsSnapshot {
-        match self {
-            Evaluator::Ast(interp) => interp.par_stats(),
-            Evaluator::Vm(vm) => vm.par_stats(),
-        }
-    }
-
-    /// Hands the run's tracer to the kernel engine so `kernel.par` spans
-    /// land in the same journal as the execution spans.
-    fn set_tracer(&mut self, tracer: Tracer) {
-        match self {
-            Evaluator::Ast(interp) => interp.set_tracer(tracer),
-            Evaluator::Vm(vm) => vm.set_tracer(tracer),
-        }
-    }
+/// Evaluates `line` on `vm` under the lowering's baked copy-elimination
+/// flag and returns the cost the run is charged: the measured cost, or the
+/// shard's share of it ([`shard_scaled_cost`]).
+fn charged_line(
+    vm: &mut Vm<'_>,
+    line: usize,
+    shard: Option<&ShardSlice>,
+) -> alang::error::Result<LineCost> {
+    let cost = vm.exec_line(line)?;
+    Ok(match shard {
+        Some(sh) => shard_scaled_cost(sh, line, cost),
+        None => cost,
+    })
 }
 
 /// Canonical fingerprint of every program variable's name and final
 /// value (first-assignment order): the answer-integrity check compared
 /// between faulted and fault-free runs.
-fn values_fingerprint(program: &Program, eval: &Evaluator<'_>) -> u64 {
+fn values_fingerprint(program: &Program, vm: &Vm<'_>) -> u64 {
     let mut seen: Vec<&str> = Vec::new();
     for line in program.lines() {
         if seen.contains(&line.target.as_str()) {
@@ -550,7 +483,7 @@ fn values_fingerprint(program: &Program, eval: &Evaluator<'_>) -> u64 {
     let mut h = Fnv1a::new();
     for target in seen {
         h.write_str(target);
-        eval.var(target).fingerprint_into(&mut h);
+        vm.var(target).fingerprint_into(&mut h);
     }
     h.finish()
 }
@@ -611,9 +544,8 @@ fn wal_snap(system: &System, recov: &Recovery, monitor: Option<&Monitor>) -> Sta
 /// [`EngineKind::Host`].
 ///
 /// `lowered` is the program's bytecode; its baked copy-elimination flags
-/// ([`LoweredProgram::copy_elim`]) decide elimination on either backend,
-/// and the VM backend ([`ExecOptions::backend`]) executes it without
-/// re-lowering. `estimates` (from the sampling/fitting pipeline) are
+/// ([`LoweredProgram::copy_elim`]) decide elimination, and the [`Vm`]
+/// executes it without re-lowering. `estimates` (from the sampling/fitting pipeline) are
 /// required for migration decisions; without them the monitor is ignored.
 /// When `shard` is given the run is charged as one shard of a fleet:
 /// values are still computed in full (so `values_fingerprint` matches the
@@ -662,12 +594,8 @@ pub fn execute(
         system.install_faults(opts.faults.clone());
     }
     let mut recov = Recovery::with_tracer(opts.recovery, opts.tracer.clone());
-    let copy_elim = lowered.copy_elim();
-    let mut eval = match opts.backend {
-        ExecBackend::Vm => Evaluator::Vm(Vm::with_policy(lowered, storage, opts.parallel)),
-        ExecBackend::AstWalk => Evaluator::Ast(Interpreter::with_policy(storage, opts.parallel)),
-    };
-    eval.set_tracer(opts.tracer.clone());
+    let mut vm = Vm::with_policy(lowered, storage, opts.parallel);
+    vm.set_tracer(opts.tracer.clone());
     // The plan's original placement is the reclaim target set: only lines
     // the planner offloaded — then migrated host-ward mid-run — are ever
     // speculatively re-assigned to the CSD.
@@ -693,7 +621,6 @@ pub fn execute(
     opts.journal.on_record(WalRecord::RunStart {
         lane: 0,
         program_len: program.len() as u32,
-        backend: backend_code(opts.backend),
     })?;
 
     // Distribute the CSD binary into device memory before execution
@@ -732,8 +659,8 @@ pub fn execute(
         // remaining originally-offloaded lines are speculatively
         // re-assigned to the CSD at this line boundary. The decision reads
         // only simulated-clock quantities (availability traces, modelled
-        // estimates), so it is identical across evaluation backends and —
-        // like every placement decision — cannot affect computed values.
+        // estimates), so — like every placement decision — it cannot affect
+        // computed values.
         if let Some(event) = try_reclaim(
             program.len(),
             i,
@@ -766,14 +693,14 @@ pub fn execute(
                 line,
                 EngineKind::Host,
                 system,
-                &eval,
+                &vm,
                 &mut var_loc,
                 &mut vars,
                 true,
                 &mut recov,
                 shard,
             )?;
-            let cost = eval.charged_line(line, copy_elim, shard)?;
+            let cost = charged_line(&mut vm, line.index, shard)?;
             if cost.storage_bytes > 0 {
                 system.storage_read(EngineKind::Host, Bytes::new(cost.storage_bytes));
             }
@@ -783,8 +710,8 @@ pub fn execute(
             }
             var_loc.insert(line.target.clone(), EngineKind::Host);
             let bind_bytes = match shard {
-                Some(sh) => sh.scale_line(i, eval.var_bytes(&line.target)),
-                None => eval.var_bytes(&line.target),
+                Some(sh) => sh.scale_line(i, vm.var_bytes(&line.target)),
+                None => vm.var_bytes(&line.target),
             };
             vars.bind(system, &line.target, EngineKind::Host, bind_bytes)?;
             opts.tracer.end(line_span, Some(system.now().as_secs()));
@@ -828,11 +755,10 @@ pub fn execute(
             i,
             end,
             system,
-            &mut eval,
+            &mut vm,
             &mut var_loc,
             &mut vars,
             opts,
-            copy_elim,
             &mut recov,
             shard,
         ) {
@@ -907,7 +833,7 @@ pub fn execute(
     // phase, charged against the shared host link budget instead.
     if let Some(last) = program.lines().last() {
         if var_loc.get(&last.target) == Some(&EngineKind::Cse) {
-            let full = eval.var_bytes(&last.target);
+            let full = vm.var_bytes(&last.target);
             let bytes = match shard {
                 Some(sh) => sh.scale_line(last.index, full),
                 None => full,
@@ -928,7 +854,7 @@ pub fn execute(
         plan_cache_misses: 0,
         faults: system.fault_counters(),
         recovery: recov.stats,
-        par: eval.par_stats(),
+        par: vm.par_stats(),
         plan_cache_refits: 0,
         audit: crate::metrics::AuditStats::default(),
     };
@@ -950,7 +876,7 @@ pub fn execute(
         }
         opts.profile.record(&costs);
     }
-    let fingerprint = values_fingerprint(program, &eval);
+    let fingerprint = values_fingerprint(program, &vm);
     let total_secs = system.now().as_secs();
     opts.journal.on_record(WalRecord::RunEnd {
         lane: 0,

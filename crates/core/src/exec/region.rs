@@ -3,12 +3,10 @@
 //! monitor watching every chunk boundary and the remaining stream breaking
 //! to the host when it degrades (§III-D).
 
-use super::migrate::{
-    announce, break_pays, install_contention, reclaim_pays, wal_record, Remainder,
-};
+use super::migrate::{announce, break_pays, install_contention, try_reclaim_region, wal_record};
 use super::residency::{stage_inputs, VarSpace};
 use super::{
-    demote_csd, escalate, wal_snap, Evaluator, ExecOptions, LineOutcome, MigrationEvent,
+    charged_line, demote_csd, escalate, wal_snap, ExecOptions, LineOutcome, MigrationEvent,
     MigrationReason, ShardSlice,
 };
 use crate::error::{ActivePyError, Result};
@@ -16,7 +14,7 @@ use crate::estimate::LineEstimate;
 use crate::monitor::{Monitor, Observation};
 use crate::recovery::Recovery;
 use alang::compile::CompiledProgram;
-use alang::{LineCost, Program};
+use alang::{LineCost, Program, Vm};
 use csd_sim::fault::DeviceFault;
 use csd_sim::nvme::CommandKind;
 use csd_sim::units::{Bytes, Duration, Ops};
@@ -70,11 +68,10 @@ impl RegionRun {
         start: usize,
         end: usize,
         system: &mut System,
-        eval: &mut Evaluator<'_>,
+        vm: &mut Vm<'_>,
         var_loc: &mut BTreeMap<String, EngineKind>,
         vars: &mut VarSpace,
         opts: &ExecOptions,
-        copy_elim: &[bool],
         recov: &mut Recovery,
         shard: Option<&ShardSlice>,
     ) -> Result<RegionRun> {
@@ -113,8 +110,8 @@ impl RegionRun {
                         && var_loc.get(*v) == Some(&EngineKind::Host)
                 })
                 .map(|v| match shard {
-                    Some(sh) => sh.scale_def(program.def_site(v), line.index, eval.var_bytes(v)),
-                    None => eval.var_bytes(v),
+                    Some(sh) => sh.scale_def(program.def_site(v), line.index, vm.var_bytes(v)),
+                    None => vm.var_bytes(v),
                 })
                 .sum();
             let s = stage_inputs(
@@ -122,7 +119,7 @@ impl RegionRun {
                 line,
                 EngineKind::Cse,
                 system,
-                eval,
+                vm,
                 var_loc,
                 vars,
                 false,
@@ -131,7 +128,7 @@ impl RegionRun {
             )?;
             external_input_bytes += external;
             staged.push(s);
-            let cost = eval.charged_line(line, copy_elim, shard)?;
+            let cost = charged_line(vm, line.index, shard)?;
             ops.push(cost.effective_ops(opts.tier, &opts.params));
             costs.push(cost);
             targets.push(line.target.clone());
@@ -346,35 +343,18 @@ impl RegionRun {
                                 attrs,
                             );
                         }
-                        match obs {
-                            Observation::Degraded { .. } => {
-                                let later_csd: Vec<&LineEstimate> = est
-                                    .iter()
-                                    .filter(|e| {
-                                        e.line > self.end && placements[e.line] == EngineKind::Cse
-                                    })
-                                    .collect();
-                                let region_est: Vec<&LineEstimate> = est
-                                    .iter()
-                                    .filter(|e| e.line >= self.start && e.line <= self.end)
-                                    .collect();
-                                let remainder = Remainder {
-                                    device_secs: (1.0 - done_fraction)
-                                        * region_est.iter().map(|e| e.ct_device).sum::<f64>()
-                                        + later_csd.iter().map(|e| e.ct_device).sum::<f64>(),
-                                    host_secs: (1.0 - done_fraction)
-                                        * region_est.iter().map(|e| e.ct_host).sum::<f64>()
-                                        + later_csd.iter().map(|e| e.ct_host).sum::<f64>(),
-                                    move_bytes: self.live_state_bytes(done_fraction),
-                                    regen_secs: CompiledProgram::compile_secs_for(
-                                        len + later_csd.len(),
-                                    ),
-                                };
-                                break_pays(system, mon, &remainder)
-                                    .then_some(MigrationReason::Degraded)
-                            }
-                            _ => None,
-                        }
+                        let degraded = matches!(obs, Observation::Degraded { .. });
+                        (degraded
+                            && break_pays(
+                                system,
+                                mon,
+                                est,
+                                placements,
+                                (self.start, self.end),
+                                done_fraction,
+                                self.live_state_bytes(done_fraction),
+                            ))
+                        .then_some(MigrationReason::Degraded)
                     } else {
                         None
                     }
@@ -429,13 +409,14 @@ impl RegionRun {
                     // would time out identically.
                     for c in 0..REGION_CHUNKS {
                         if reclaim.is_none() {
-                            if let Some(event) = self.try_reclaim_remaining(
-                                k,
+                            if let Some(event) = try_reclaim_region(
+                                (self.start, k),
+                                &self.ops,
+                                &done_ops,
                                 reason,
                                 system,
                                 opts,
                                 estimates,
-                                &done_ops,
                                 state_bytes,
                                 decided_at,
                             ) {
@@ -551,66 +532,5 @@ impl RegionRun {
             .map(|b| (*b as f64 * done_fraction) as u64)
             .sum::<u64>()
             + self.external_input_bytes
-    }
-
-    /// After a mid-region [`MigrationReason::Degraded`] break moved the
-    /// stream host-ward, decides at host line boundary `k` whether the
-    /// remaining (unfinished) slice of the region should return to the
-    /// CSD, under the one reclaim rule ([`reclaim_pays`]). The remainder is
-    /// each line's estimate scaled by its undone fraction, and the live
-    /// state must move back to device memory.
-    #[allow(clippy::too_many_arguments)]
-    fn try_reclaim_remaining(
-        &self,
-        k: usize,
-        reason: MigrationReason,
-        system: &System,
-        opts: &ExecOptions,
-        estimates: Option<&[LineEstimate]>,
-        done_ops: &[u64],
-        state_bytes: u64,
-        migrated_at: f64,
-    ) -> Option<MigrationEvent> {
-        // Preempted tasks must stay off the device and fault fallbacks
-        // carry no evidence the device works; only degradations reverse.
-        if reason != MigrationReason::Degraded {
-            return None;
-        }
-        let cfg = opts.monitor?;
-        let est = estimates?;
-        let len = self.end - self.start + 1;
-        let undone = |j: usize| -> f64 {
-            if self.ops[j] == 0 {
-                0.0
-            } else {
-                1.0 - done_ops[j] as f64 / self.ops[j] as f64
-            }
-        };
-        let mut device_secs = 0.0;
-        let mut host_secs = 0.0;
-        for j in k..len {
-            let line = self.start + j;
-            if let Some(e) = est.iter().find(|e| e.line == line) {
-                device_secs += e.ct_device * undone(j);
-                host_secs += e.ct_host * undone(j);
-            }
-        }
-        let remainder = Remainder {
-            device_secs,
-            host_secs,
-            move_bytes: state_bytes,
-            regen_secs: CompiledProgram::compile_secs_for(len - k),
-        };
-        if !reclaim_pays(system, &cfg, migrated_at, &remainder) {
-            return None;
-        }
-        Some(announce(
-            opts,
-            MigrationReason::Reclaim,
-            (self.start + k).saturating_sub(1),
-            state_bytes,
-            remainder.regen_secs,
-            system.now().as_secs(),
-        ))
     }
 }

@@ -2,10 +2,10 @@
 //! address space, and the staging transfers that move a line's inputs next
 //! to the engine that reads them.
 
-use super::{Evaluator, ShardSlice};
+use super::ShardSlice;
 use crate::error::{ActivePyError, Result};
 use crate::recovery::Recovery;
-use alang::Program;
+use alang::{Program, Vm};
 use csd_sim::units::Bytes;
 use csd_sim::{Direction, EngineKind, System};
 use std::collections::BTreeMap;
@@ -124,7 +124,7 @@ pub(super) fn stage_inputs(
     line: &alang::ast::Line,
     engine: EngineKind,
     system: &mut System,
-    eval: &Evaluator<'_>,
+    vm: &Vm<'_>,
     var_loc: &mut BTreeMap<String, EngineKind>,
     vars: &mut VarSpace,
     move_allocation: bool,
@@ -136,8 +136,8 @@ pub(super) fn stage_inputs(
         let bytes = match shard {
             // A shard ships only its own rows of a partitioned value; a
             // line outside the charge range ships nothing at all.
-            Some(sh) => sh.scale_def(program.def_site(name), line.index, eval.var_bytes(name)),
-            None => eval.var_bytes(name),
+            Some(sh) => sh.scale_def(program.def_site(name), line.index, vm.var_bytes(name)),
+            None => vm.var_bytes(name),
         };
         if bytes == 0 {
             continue;

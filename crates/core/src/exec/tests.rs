@@ -258,42 +258,6 @@ fn preemption_after_completion_is_harmless() {
     assert!(rep.migration.is_none());
 }
 
-/// Runs the same configuration on both backends and asserts
-/// byte-identical reports (`RunReport` derives `PartialEq`, and the
-/// simulator is deterministic, so any engine divergence shows up).
-fn assert_backend_parity(opts: &ExecOptions, csd: &[usize], copy_elim: &[bool]) {
-    let estimates = flat_estimates();
-    let [vm, ast] = [ExecBackend::Vm, ExecBackend::AstWalk].map(|backend| {
-        let mut sys = SystemConfig::paper_default().build();
-        let opts = opts.clone().with_backend(backend);
-        run_on(&mut sys, SRC, csd, copy_elim, &opts, Some(&estimates)).expect("run")
-    });
-    assert_eq!(vm, ast);
-}
-
-#[test]
-fn backends_agree_on_host_only_runs() {
-    assert_backend_parity(&ExecOptions::native_static(), &[], &[]);
-}
-
-#[test]
-fn backends_agree_on_full_offload_with_copy_elim() {
-    assert_backend_parity(
-        &ExecOptions::activepy(),
-        &[0, 1, 2, 3],
-        &[false, true, true, true],
-    );
-}
-
-#[test]
-fn backends_agree_on_split_placements_under_contention() {
-    assert_backend_parity(
-        &ExecOptions::activepy().with_scenario(ContentionScenario::after_progress(0.5, 0.01)),
-        &[0, 2],
-        &[],
-    );
-}
-
 #[test]
 fn lowered_line_count_mismatch_rejected() {
     let program = parse(SRC).expect("parse");
@@ -399,43 +363,20 @@ fn parallel_policy_is_execution_only() {
     // (and its counters) differ, so compare fields, not whole reports.
     let all = [0, 1, 2, 3];
     let serial = run(&all, &ExecOptions::activepy(), None).expect("serial");
-    for backend in [ExecBackend::Vm, ExecBackend::AstWalk] {
-        let policy = ParallelPolicy::new(8, 64).expect("valid policy");
-        let opts = ExecOptions::activepy()
-            .with_backend(backend)
-            .with_parallelism(policy);
-        let par = run(&all, &opts, None).expect("parallel");
-        assert_eq!(par.lines, serial.lines, "{backend:?}");
-        assert_eq!(par.values_fingerprint, serial.values_fingerprint);
-        assert_eq!(par.total_secs, serial.total_secs);
-        assert_eq!(par.parallel, policy, "the report records its policy");
-        assert!(
-            par.metrics.par.par_calls > 0,
-            "a 64-element threshold engages chunking: {:?}",
-            par.metrics.par
-        );
-    }
+    let policy = ParallelPolicy::new(8, 64).expect("valid policy");
+    let opts = ExecOptions::activepy().with_parallelism(policy);
+    let par = run(&all, &opts, None).expect("parallel");
+    assert_eq!(par.lines, serial.lines);
+    assert_eq!(par.values_fingerprint, serial.values_fingerprint);
+    assert_eq!(par.total_secs, serial.total_secs);
+    assert_eq!(par.parallel, policy, "the report records its policy");
+    assert!(
+        par.metrics.par.par_calls > 0,
+        "a 64-element threshold engages chunking: {:?}",
+        par.metrics.par
+    );
     assert_eq!(serial.parallel, ParallelPolicy::default());
     assert_eq!(serial.metrics.par.par_calls, 0);
-}
-
-#[test]
-fn backends_agree_under_injected_faults() {
-    let faults = FaultPlan::none()
-        .with_seed(29)
-        .with_flash_read_error_prob(0.1)
-        .with_nvme_error_prob(0.1)
-        .with_dma_error_prob(0.1)
-        .with_gc_burst(
-            SimTime::from_secs(0.05),
-            csd_sim::units::Duration::from_secs(0.1),
-            0.05,
-        );
-    assert_backend_parity(
-        &ExecOptions::activepy().with_faults(faults),
-        &[0, 1, 2, 3],
-        &[],
-    );
 }
 
 #[test]
@@ -505,14 +446,12 @@ fn every_migration_reason_acknowledges_the_monitor() {
 /// line's host/device cost ratio. A 5%-availability burst then starts at
 /// `drop_at(&reference)` and recovers `recover_after` seconds later.
 fn run_phase_shift(
-    backend: ExecBackend,
     csd: &[usize],
     host_factor: impl Fn(usize) -> f64,
     drop_at: impl Fn(&RunReport) -> f64,
     recover_after: f64,
 ) -> RunReport {
-    let reference =
-        run(csd, &ExecOptions::activepy().with_backend(backend), None).expect("reference");
+    let reference = run(csd, &ExecOptions::activepy(), None).expect("reference");
     let params = CostParams::paper_default();
     let estimates: Vec<LineEstimate> = reference
         .lines
@@ -532,18 +471,15 @@ fn run_phase_shift(
     let drop_at = drop_at(&reference);
     let scenario = ContentionScenario::at_time(SimTime::from_secs(drop_at), 0.05)
         .with_recovery_at(SimTime::from_secs(drop_at + recover_after));
-    let opts = ExecOptions::activepy()
-        .with_backend(backend)
-        .with_scenario(scenario);
+    let opts = ExecOptions::activepy().with_scenario(scenario);
     run(csd, &opts, Some(&estimates)).expect("run")
 }
 
 /// Line-boundary reclaim: CSD region [0,1], host line 2, CSD line 3.
 /// Contention drops mid-region-0 and recovers shortly after, so the
 /// degradation migrates line 3 host-ward and the recovery hands it back.
-fn run_line_reclaim(backend: ExecBackend) -> RunReport {
+fn run_line_reclaim() -> RunReport {
     run_phase_shift(
-        backend,
         &[0, 1, 3],
         // Line 3 is the reclaim candidate: clearly device-profitable, so
         // abandoning it host-ward is a real loss.
@@ -565,9 +501,8 @@ fn run_line_reclaim(backend: ExecBackend) -> RunReport {
 /// the region executor. Estimates make the remainder strongly
 /// device-favorable, so once availability recovers mid-completion the
 /// host-side remainder migrates back.
-fn run_in_region_reclaim(backend: ExecBackend) -> RunReport {
+fn run_in_region_reclaim() -> RunReport {
     run_phase_shift(
-        backend,
         &[0, 1, 2, 3],
         // Uniformly device-profitable, so finishing host-side is a loss
         // the reclaim check can always recognize.
@@ -583,7 +518,7 @@ fn run_in_region_reclaim(backend: ExecBackend) -> RunReport {
 
 #[test]
 fn reclaim_returns_work_to_the_csd_after_recovery() {
-    let rep = run_line_reclaim(ExecBackend::default());
+    let rep = run_line_reclaim();
     let reasons: Vec<MigrationReason> = rep.migrations.iter().map(|m| m.reason).collect();
     assert!(
         reasons.contains(&MigrationReason::Degraded),
@@ -613,7 +548,7 @@ fn reclaim_returns_work_to_the_csd_after_recovery() {
 
 #[test]
 fn in_region_reclaim_resumes_the_merged_region_on_the_csd() {
-    let rep = run_in_region_reclaim(ExecBackend::default());
+    let rep = run_in_region_reclaim();
     let reasons: Vec<MigrationReason> = rep.migrations.iter().map(|m| m.reason).collect();
     assert_eq!(
         reasons,
@@ -637,26 +572,17 @@ fn in_region_reclaim_resumes_the_merged_region_on_the_csd() {
 }
 
 #[test]
-fn reclaim_schedules_are_value_and_backend_invariant() {
+fn reclaim_schedules_are_value_invariant() {
     // Placement flips — in either direction, at a line boundary or inside
-    // a region — may never change computed values, and the reclaim
-    // decision reads only simulated-clock state, so both backends take
-    // the identical migration schedule.
+    // a region — may never change computed values: the fingerprint
+    // matches an undisturbed static run.
     for (harness, csd) in [
-        (
-            run_line_reclaim as fn(ExecBackend) -> RunReport,
-            [0, 1, 3].as_slice(),
-        ),
+        (run_line_reclaim as fn() -> RunReport, [0, 1, 3].as_slice()),
         (run_in_region_reclaim, &[0, 1, 2, 3]),
     ] {
-        let vm = harness(ExecBackend::Vm);
-        let interp = harness(ExecBackend::AstWalk);
-        assert_eq!(vm.migrations, interp.migrations);
-        assert_eq!(vm.values_fingerprint, interp.values_fingerprint);
-        assert!((vm.total_secs - interp.total_secs).abs() < 1e-12);
-        // And the fingerprint matches an undisturbed static run.
+        let reclaimed = harness();
         let static_run = run(csd, &ExecOptions::native_static(), None).expect("static");
-        assert_eq!(vm.values_fingerprint, static_run.values_fingerprint);
+        assert_eq!(reclaimed.values_fingerprint, static_run.values_fingerprint);
     }
 }
 
@@ -681,7 +607,6 @@ fn runtime_options_derive_every_execution_field() {
     let journal = ExecJournal::record_to(&path).expect("create journal");
     let mut runtime = ActivePyOptions::default()
         .with_preemption_at(2.5)
-        .with_backend(ExecBackend::AstWalk)
         .with_recovery(RecoveryPolicy::default().without_fallback())
         .with_faults(FaultPlan::none().with_seed(9).with_nvme_error_prob(0.1))
         .with_parallelism(ParallelPolicy::new(4, 128).expect("valid policy"))
@@ -698,7 +623,6 @@ fn runtime_options_derive_every_execution_field() {
     assert_eq!(opts.params, runtime.params);
     assert_eq!(opts.monitor, Some(monitor));
     assert_eq!(opts.preempt_at, Some(2.5));
-    assert_eq!(opts.backend, ExecBackend::AstWalk);
     assert_eq!(opts.recovery, runtime.recovery);
     assert_eq!(opts.faults, runtime.faults);
     assert_eq!(opts.parallel, runtime.parallel);

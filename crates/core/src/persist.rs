@@ -16,7 +16,7 @@
 //! ## Format
 //!
 //! ```text
-//! [ magic "ISPWARM2" : 8 bytes ]
+//! [ magic "ISPWARM3" : 8 bytes ]
 //! [ u64 payload_len (LE) ][ u64 fnv1a(payload) (LE) ][ payload ]
 //! ```
 //!
@@ -44,9 +44,11 @@ use std::path::Path;
 use std::sync::Arc;
 
 /// File header identifying a warm-start file and its format version.
-/// Version 2 keys seeds by the canonical-fingerprint plan-cache key;
-/// version 1 keys hashed `Debug` renderings and are rejected on load.
-pub const WARM_MAGIC: [u8; 8] = *b"ISPWARM2";
+/// Version 3 keys seeds by the canonical-fingerprint plan-cache key
+/// without an evaluation backend; version 2 keys still hashed one, and
+/// version 1 keys hashed `Debug` renderings. Both are rejected on load:
+/// their keys would all miss, a silent cold start.
+pub const WARM_MAGIC: [u8; 8] = *b"ISPWARM3";
 
 /// Everything a plan-cache miss needs to re-plan without datagen: the
 /// sampling measurements and the materialized full-scale input.
@@ -802,14 +804,16 @@ mod tests {
         };
         save_warm_file(&path, &[(key, seed)], &[]).expect("save");
         let mut bytes = std::fs::read(&path).expect("read");
-        bytes[..8].copy_from_slice(b"ISPWARM1");
-        std::fs::write(&path, &bytes).expect("write stale");
-        let err = load_warm_file(&path).expect_err("ISPWARM1 must not load");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("ISPWARM1"), "{err}");
-        let cache = crate::plan::PlanCache::new();
-        let err = cache.load_warm(&path).expect_err("no silent 0 seeds");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        for stale in ["ISPWARM1", "ISPWARM2"] {
+            bytes[..8].copy_from_slice(stale.as_bytes());
+            std::fs::write(&path, &bytes).expect("write stale");
+            let err = load_warm_file(&path).expect_err("older versions must not load");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains(stale), "{err}");
+            let cache = crate::plan::PlanCache::new();
+            let err = cache.load_warm(&path).expect_err("no silent 0 seeds");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -449,8 +449,8 @@ impl PlanCache {
     }
 
     /// Canonical fingerprint of the platform config and the
-    /// planning-relevant options (sampling scales, cost constants,
-    /// backend), plus the input's declared wire-format fingerprint
+    /// planning-relevant options (sampling scales, cost constants), plus
+    /// the input's declared wire-format fingerprint
     /// ([`InputSource::wire_fingerprint`]) — re-encoding a dataset
     /// (codec, shuffle, byte order, fill sentinel) changes decode costs
     /// and therefore invalidates cached plans, without the key ever
@@ -461,7 +461,6 @@ impl PlanCache {
         config.fingerprint_into(&mut h);
         opts.scales.fingerprint_into(&mut h);
         opts.params.fingerprint_into(&mut h);
-        opts.backend.fingerprint_into(&mut h);
         h.write_u64(wire);
         h.finish()
     }
@@ -629,7 +628,7 @@ mod tests {
         }
 
         type OptEdit = (&'static str, fn(&mut ActivePyOptions));
-        let option_edits: [OptEdit; 6] = [
+        let option_edits: [OptEdit; 5] = [
             ("scales.len", |o| {
                 o.scales.pop();
             }),
@@ -643,7 +642,6 @@ mod tests {
             ("params.scan_ops_per_byte", |o| {
                 o.params.scan_ops_per_byte += 1.0
             }),
-            ("backend", |o| o.backend = alang::ExecBackend::AstWalk),
         ];
         for (field, edit) in option_edits {
             let mut opts = ActivePyOptions::default();

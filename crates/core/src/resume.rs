@@ -30,7 +30,6 @@
 use crate::error::ActivePyError;
 use crate::exec::MigrationReason;
 use crate::plan::OffloadPlan;
-use alang::ExecBackend;
 use isp_obs::wal::{read_wal, WalRecord, WalWriter};
 use isp_obs::{Fingerprint, Fnv1a};
 use std::collections::{HashMap, VecDeque};
@@ -236,15 +235,6 @@ pub fn reason_code(reason: MigrationReason) -> u8 {
     }
 }
 
-/// Stable discriminant for an [`ExecBackend`] in WAL records.
-#[must_use]
-pub fn backend_code(backend: ExecBackend) -> u8 {
-    match backend {
-        ExecBackend::Vm => 0,
-        ExecBackend::AstWalk => 1,
-    }
-}
-
 /// Fingerprint of an [`OffloadPlan`]'s deterministic planning outcome:
 /// the canonical fingerprint of the fitted predictions, calibration,
 /// copy-elimination flags, estimates, Algorithm-1 assignment, and
@@ -383,7 +373,7 @@ mod tests {
     }
 
     #[test]
-    fn reason_and_backend_codes_are_stable() {
+    fn reason_codes_are_stable() {
         for (reason, code) in [
             (MigrationReason::Degraded, 0),
             (MigrationReason::Preempted, 1),
@@ -392,7 +382,5 @@ mod tests {
         ] {
             assert_eq!(reason_code(reason), code);
         }
-        assert_eq!(backend_code(ExecBackend::Vm), 0);
-        assert_eq!(backend_code(ExecBackend::AstWalk), 1);
     }
 }

@@ -20,10 +20,10 @@ use crate::plan::{OffloadPlan, PlanTimings};
 use crate::profile::{ProfileRecorder, WorkloadProfile};
 use crate::recovery::RecoveryPolicy;
 use crate::resume::{plan_fingerprint, ExecJournal};
-use crate::sampling::{paper_scales, run_sampling_traced, InputSource, SamplingReport};
+use crate::sampling::{paper_scales, run_sampling, InputSource, SamplingReport};
 use alang::compile::CompiledProgram;
 use alang::copyelim::eliminable_lines;
-use alang::{CostParams, ExecBackend, ExecTier, ParallelPolicy, Program, Storage};
+use alang::{CostParams, ExecTier, ParallelPolicy, Program, Storage};
 use csd_sim::contention::ContentionScenario;
 use csd_sim::fault::FaultPlan;
 use csd_sim::units::Duration;
@@ -46,11 +46,6 @@ pub struct ActivePyOptions {
     /// signals through the command pages and the ISP task vacates at the
     /// next status update.
     pub preempt_at: Option<f64>,
-    /// The per-line evaluation engine used for sampling runs and plan
-    /// execution: the lowered register-bytecode VM (default) or the
-    /// tree-walking reference interpreter. The two produce byte-identical
-    /// outcomes.
-    pub backend: ExecBackend,
     /// How plan execution responds to injected device faults (retry
     /// budget, sim-time backoff, host fallback).
     pub recovery: RecoveryPolicy,
@@ -91,7 +86,6 @@ impl Default for ActivePyOptions {
             monitor: Some(MonitorConfig::default()),
             charge_pipeline_overheads: true,
             preempt_at: None,
-            backend: ExecBackend::default(),
             recovery: RecoveryPolicy::default(),
             faults: FaultPlan::none(),
             parallel: ParallelPolicy::default(),
@@ -114,13 +108,6 @@ impl ActivePyOptions {
     #[must_use]
     pub fn with_preemption_at(mut self, at_secs: f64) -> Self {
         self.preempt_at = Some(at_secs);
-        self
-    }
-
-    /// Selects the per-line evaluation backend.
-    #[must_use]
-    pub fn with_backend(mut self, backend: ExecBackend) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -265,13 +252,7 @@ impl ActivePy {
             None,
             vec![("scales".into(), self.options.scales.len().into())],
         );
-        let sampling = run_sampling_traced(
-            program,
-            input,
-            &self.options.scales,
-            self.options.backend,
-            tracer,
-        )?;
+        let sampling = run_sampling(program, input, &self.options.scales, tracer)?;
         let sampling_secs = self.sampling_secs(&sampling, config);
         tracer.end_with(
             span,
@@ -674,28 +655,6 @@ s = sum(b)
             )
             .expect("pipeline");
         assert!(outcome.report.migration.is_none());
-    }
-
-    #[test]
-    fn pipeline_outcomes_are_identical_across_backends() {
-        let program = parse(SRC).expect("parse");
-        let config = SystemConfig::paper_default();
-        for scenario in [
-            ContentionScenario::none(),
-            ContentionScenario::after_progress(0.5, 0.1),
-        ] {
-            let vm = ActivePy::with_options(
-                ActivePyOptions::default().with_backend(alang::ExecBackend::Vm),
-            )
-            .run(&program, &input(), &config, scenario)
-            .expect("vm pipeline");
-            let ast = ActivePy::with_options(
-                ActivePyOptions::default().with_backend(alang::ExecBackend::AstWalk),
-            )
-            .run(&program, &input(), &config, scenario)
-            .expect("ast pipeline");
-            assert_eq!(vm, ast, "pipeline diverged under {scenario:?}");
-        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use crate::error::{ActivePyError, Result};
 use alang::builtins::Storage;
 use alang::copyelim::{DatasetTypes, StaticType};
-use alang::{ExecBackend, Interpreter, LineCost, Program, Value, Vm};
+use alang::{ExecBackend, LineCost, Program, Value, Vm};
 use isp_obs::{SpanKind, Tracer};
 use serde::{Deserialize, Serialize};
 
@@ -87,60 +87,26 @@ pub struct SamplingReport {
     pub total_sampling_cost: LineCost,
 }
 
-/// Runs the sampling phase: executes `program` once per scale factor and
-/// collects per-line statistics. Uses the default (VM) backend.
-///
-/// # Errors
-///
-/// Returns an error if `scales` is empty or any sample run fails.
-pub fn run_sampling(
-    program: &Program,
-    input: &dyn InputSource,
-    scales: &[f64],
-) -> Result<SamplingReport> {
-    run_sampling_with(program, input, scales, ExecBackend::default())
-}
-
-/// Runs the sampling phase on a specific execution backend.
-///
-/// With [`ExecBackend::Vm`], the program is lowered once and each sample
-/// run reuses the same bytecode; the AST walker re-walks the tree per
-/// scale. Both produce identical reports.
+/// Runs the sampling phase: lowers `program` once and executes it on the
+/// [`Vm`] once per scale factor, collecting per-line statistics and
+/// recording one `sampling.scale` span per sample run into `tracer`. The
+/// tracer is observation-only: reports are identical with it enabled or
+/// disabled.
 ///
 /// # Errors
 ///
 /// Returns an error if `scales` is empty, lowering fails, or any sample
 /// run fails.
-pub fn run_sampling_with(
+pub fn run_sampling(
     program: &Program,
     input: &dyn InputSource,
     scales: &[f64],
-    backend: ExecBackend,
-) -> Result<SamplingReport> {
-    run_sampling_traced(program, input, scales, backend, &Tracer::disabled())
-}
-
-/// As [`run_sampling_with`], recording one `sampling.scale` span per
-/// sample run into `tracer`. The tracer is observation-only: reports are
-/// identical with it enabled, disabled, or absent.
-///
-/// # Errors
-///
-/// As [`run_sampling_with`].
-pub fn run_sampling_traced(
-    program: &Program,
-    input: &dyn InputSource,
-    scales: &[f64],
-    backend: ExecBackend,
     tracer: &Tracer,
 ) -> Result<SamplingReport> {
     if scales.is_empty() {
         return Err(ActivePyError::sampling("no sampling scales provided"));
     }
-    let lowered = match backend {
-        ExecBackend::Vm => Some(alang::lower::lower(program)?),
-        ExecBackend::AstWalk => None,
-    };
+    let lowered = alang::lower::lower(program)?;
     let mut lines: Vec<LineSamples> = (0..program.len())
         .map(|line| LineSamples {
             line,
@@ -165,10 +131,7 @@ pub fn run_sampling_traced(
         dataset_types.extend(observe_dataset_types(&storage));
         // Sample runs execute the unoptimized program — the original code,
         // before any code generation — with copy elimination disabled.
-        let records = match &lowered {
-            Some(lowered) => Vm::new(lowered, &storage).run()?,
-            None => Interpreter::new(&storage).run(program, &[])?,
-        };
+        let records = Vm::new(&lowered, &storage).run()?;
         tracer.end(span, None);
         for rec in records {
             total += rec.cost;
@@ -183,6 +146,17 @@ pub fn run_sampling_traced(
         dataset_types,
         total_sampling_cost: total,
     })
+}
+
+/// [`run_sampling`] with tracing disabled; the backend is ignored.
+#[doc(hidden)] // Kept only for perfbench/'s call signature; the next benchmark change deletes it.
+pub fn run_sampling_with(
+    program: &Program,
+    input: &dyn InputSource,
+    scales: &[f64],
+    _backend: ExecBackend,
+) -> Result<SamplingReport> {
+    run_sampling(program, input, scales, &Tracer::disabled())
 }
 
 /// Observes the static types of every dataset in `storage` — what a
@@ -236,6 +210,10 @@ mod tests {
         }
     }
 
+    fn sample(program: &Program, scales: &[f64]) -> Result<SamplingReport> {
+        run_sampling(program, &linear_input(), scales, &Tracer::disabled())
+    }
+
     #[test]
     fn paper_scales_are_the_four_powers() {
         let s = paper_scales();
@@ -247,7 +225,7 @@ mod tests {
     #[test]
     fn sampling_collects_one_point_per_scale_per_line() {
         let program = parse("a = scan('v')\nb = a * 2\ns = sum(b)\n").expect("parse");
-        let rep = run_sampling(&program, &linear_input(), &paper_scales()).expect("sampling");
+        let rep = sample(&program, &paper_scales()).expect("sampling");
         assert_eq!(rep.lines.len(), 3);
         for ls in &rep.lines {
             assert_eq!(ls.points.len(), 4);
@@ -260,19 +238,19 @@ mod tests {
     #[test]
     fn sampling_observes_dataset_types() {
         let program = parse("a = scan('v')\n").expect("parse");
-        let rep = run_sampling(&program, &linear_input(), &[0.01]).expect("sampling");
+        let rep = sample(&program, &[0.01]).expect("sampling");
         assert_eq!(rep.dataset_types.get("v"), Some(&StaticType::Array));
     }
 
     #[test]
     fn sampling_cost_is_small_relative_to_full_run() {
         let program = parse("a = scan('v')\ns = sum(a)\n").expect("parse");
-        let rep = run_sampling(&program, &linear_input(), &paper_scales()).expect("sampling");
+        let rep = sample(&program, &paper_scales()).expect("sampling");
         // Full-scale run for comparison.
         let storage = linear_input().storage_at(1.0);
-        let mut interp = Interpreter::new(&storage);
-        let full: LineCost = interp
-            .run(&program, &[])
+        let lowered = alang::lower::lower(&program).expect("lower");
+        let full: LineCost = Vm::new(&lowered, &storage)
+            .run()
             .expect("run")
             .iter()
             .map(|r| r.cost)
@@ -283,30 +261,15 @@ mod tests {
     }
 
     #[test]
-    fn backends_produce_identical_reports() {
-        let program = parse("a = scan('v')\nb = a * 2\ns = sum(b)\n").expect("parse");
-        let ast = run_sampling_with(
-            &program,
-            &linear_input(),
-            &paper_scales(),
-            ExecBackend::AstWalk,
-        )
-        .expect("ast");
-        let vm = run_sampling_with(&program, &linear_input(), &paper_scales(), ExecBackend::Vm)
-            .expect("vm");
-        assert_eq!(ast, vm);
-    }
-
-    #[test]
     fn empty_scales_rejected() {
         let program = parse("a = 1\n").expect("parse");
-        assert!(run_sampling(&program, &linear_input(), &[]).is_err());
+        assert!(sample(&program, &[]).is_err());
     }
 
     #[test]
     fn out_of_range_scale_rejected() {
         let program = parse("a = 1\n").expect("parse");
-        assert!(run_sampling(&program, &linear_input(), &[1.5]).is_err());
-        assert!(run_sampling(&program, &linear_input(), &[0.0]).is_err());
+        assert!(sample(&program, &[1.5]).is_err());
+        assert!(sample(&program, &[0.0]).is_err());
     }
 }

@@ -16,30 +16,15 @@ use crate::error::{LangError, Result};
 use crate::interp::{apply_binary, apply_unary, charge_elementwise, charge_temp, LineRecord};
 use crate::par::{ParEngine, ParStatsNondet, ParStatsSnapshot, ParallelPolicy};
 use crate::value::Value;
-use isp_obs::{Fingerprint, Fnv1a};
 use std::collections::BTreeMap;
 
-/// Which engine executes ALang lines.
-///
-/// Both backends produce byte-identical values and [`LineCost`] records
-/// (asserted by the differential-testing harness); they differ only in
-/// wall-clock. The AST walker remains the reference implementation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+/// The one-variant remnant of the retired backend switch: the [`Vm`] is
+/// the only production evaluator.
+#[doc(hidden)] // Kept only for perfbench/'s call signatures; the next benchmark change deletes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecBackend {
-    /// The tree-walking reference interpreter.
-    AstWalk,
     /// The lowered register-bytecode VM.
-    #[default]
     Vm,
-}
-
-impl Fingerprint for ExecBackend {
-    fn fingerprint_into(&self, h: &mut Fnv1a) {
-        h.write_u8(match self {
-            ExecBackend::AstWalk => 0,
-            ExecBackend::Vm => 1,
-        });
-    }
 }
 
 /// One register-style instruction. Operands are slot indices into the VM's
@@ -270,17 +255,8 @@ impl<'a> Vm<'a> {
     ///
     /// Returns the first evaluation error, annotated with the line index.
     pub fn exec_line(&mut self, index: usize) -> Result<LineCost> {
-        let elim = self.lowered.copy_elim[index];
-        self.exec_line_with(index, elim)
-    }
-
-    /// Executes one line with an explicit copy-elimination flag.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first evaluation error, annotated with the line index.
-    pub fn exec_line_with(&mut self, index: usize, elim: bool) -> Result<LineCost> {
         let lowered = self.lowered;
+        let elim = lowered.copy_elim[index];
         let meta = &lowered.metas[index];
         let mut cost = LineCost::zero();
         // D_in: the volumes of the variables this line reads.

@@ -12,11 +12,11 @@
 
 use crate::ast::Program;
 use crate::builtins::Storage;
-use crate::bytecode::LoweredProgram;
+use crate::bytecode::{LoweredProgram, Vm};
 use crate::copyelim::{self, DatasetTypes};
 use crate::cost::{CostParams, ExecTier, LineCost};
 use crate::error::Result;
-use crate::interp::{Interpreter, LineRecord};
+use crate::interp::LineRecord;
 use crate::lower;
 
 /// Estimated machine-code bytes emitted per source line.
@@ -95,9 +95,7 @@ impl CompiledProgram {
     }
 
     /// Lowers the artifact to the register bytecode, baking in this tier's
-    /// per-line copy-elimination flags. The result runs on
-    /// [`crate::bytecode::Vm`] and produces byte-identical [`LineCost`]
-    /// records to [`CompiledProgram::run`].
+    /// per-line copy-elimination flags; the result runs on [`Vm`].
     ///
     /// # Errors
     ///
@@ -107,16 +105,16 @@ impl CompiledProgram {
         lower::lower_with(&self.program, &self.copy_elim)
     }
 
-    /// Executes the artifact against `storage`, returning per-line records
-    /// (costs are tier-independent; apply [`LineCost::effective_ops`] with
-    /// [`CompiledProgram::tier`] to get engine operations).
+    /// Lowers and executes the artifact against `storage` on the [`Vm`],
+    /// returning per-line records (costs are tier-independent; apply
+    /// [`LineCost::effective_ops`] with [`CompiledProgram::tier`] to get
+    /// engine operations).
     ///
     /// # Errors
     ///
-    /// Propagates the first runtime error.
+    /// Propagates a lowering failure or the first runtime error.
     pub fn run(&self, storage: &Storage) -> Result<Vec<LineRecord>> {
-        let mut interp = Interpreter::new(storage);
-        interp.run(&self.program, &self.copy_elim)
+        Vm::new(&self.lower()?, storage).run()
     }
 
     /// Total effective operations of a run under this artifact's tier.

@@ -14,7 +14,7 @@
 //! ## Framing
 //!
 //! ```text
-//! [ magic "ISPWAL02" : 8 bytes ]            (file header)
+//! [ magic "ISPWAL03" : 8 bytes ]            (file header)
 //! [ u32 len (LE) ][ u64 fnv1a(payload) (LE) ][ payload : len bytes ]*
 //! ```
 //!
@@ -47,11 +47,12 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
-/// File header identifying a WAL and its format version. Version 02
-/// carries `plan_fp`, `shard_fp` and `RunEnd` fingerprints from the
-/// canonical [`crate::fingerprint`] hasher; version 01 files hashed
-/// `Debug` renderings and are rejected by [`read_wal`].
-pub const WAL_MAGIC: [u8; 8] = *b"ISPWAL02";
+/// File header identifying a WAL and its format version. Version 03
+/// drops the evaluation-backend byte from `RunStart`; version 02 files
+/// carry it, and version 01 files hashed `Debug` renderings instead of
+/// using the canonical [`crate::fingerprint`] hasher. [`read_wal`]
+/// rejects both.
+pub const WAL_MAGIC: [u8; 8] = *b"ISPWAL03";
 
 /// Exit code used by the `ISP_WAL_KILL_AFTER` crash hook.
 pub const KILL_EXIT_CODE: i32 = 86;
@@ -113,14 +114,12 @@ pub struct StateSnap {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WalRecord {
     /// Execution of one lane began. Carries enough shape to detect a
-    /// resume against the wrong program or backend.
+    /// resume against the wrong program.
     RunStart {
         /// Journal lane.
         lane: u32,
         /// Number of program lines.
         program_len: u32,
-        /// Backend discriminant (0 = VM, 1 = AST walker).
-        backend: u8,
     },
     /// The plan this journal belongs to was committed. `shard_fp` is the
     /// `ShardMap` fingerprint for fleet runs, 0 for unsharded runs.
@@ -258,14 +257,7 @@ impl WalRecord {
         w.u8(self.tag());
         w.u32(self.lane());
         match self {
-            WalRecord::RunStart {
-                program_len,
-                backend,
-                ..
-            } => {
-                w.u32(*program_len);
-                w.u8(*backend);
-            }
+            WalRecord::RunStart { program_len, .. } => w.u32(*program_len),
             WalRecord::PlanCommit {
                 plan_fp, shard_fp, ..
             } => {
@@ -338,7 +330,6 @@ impl WalRecord {
             1 => WalRecord::RunStart {
                 lane,
                 program_len: r.u32()?,
-                backend: r.u8()?,
             },
             2 => WalRecord::PlanCommit {
                 lane,
@@ -830,7 +821,6 @@ mod tests {
             WalRecord::RunStart {
                 lane: 0,
                 program_len: 7,
-                backend: 0,
             },
             WalRecord::HostLine {
                 lane: 0,
@@ -970,11 +960,13 @@ mod tests {
         }
         drop(w);
         let mut bytes = std::fs::read(&path).expect("read bytes");
-        bytes[..8].copy_from_slice(b"ISPWAL01");
-        std::fs::write(&path, &bytes).expect("write stale");
-        let err = read_wal(&path).expect_err("ISPWAL01 must not parse");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("ISPWAL01"), "{err}");
+        for stale in ["ISPWAL01", "ISPWAL02"] {
+            bytes[..8].copy_from_slice(stale.as_bytes());
+            std::fs::write(&path, &bytes).expect("write stale");
+            let err = read_wal(&path).expect_err("older versions must not parse");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains(stale), "{err}");
+        }
         // Garbage and torn headers keep the torn-tail rule.
         let heads: [&[u8]; 3] = [b"ISPWAL\xEE\xEE", b"ISPW", b"not a wal"];
         for head in heads {

@@ -18,6 +18,20 @@ if [ -n "$FNV_HITS" ]; then
   exit 1
 fi
 
+echo "== one evaluator (the AST interpreter is a test oracle, never a production path) =="
+# The register-bytecode VM is the only engine the runtime, the baselines
+# and the experiments run. The tree-walking interpreter stays public in
+# alang as the reference the differential tests (and repro's interp
+# section) compare against; a use in the production crates below forks
+# the engine again.
+ENGINE_HITS="$(grep -rnwE --include='*.rs' 'Interpreter|AstWalk' \
+  crates/core/src crates/baselines/src crates/bench/src/experiments || true)"
+if [ -n "$ENGINE_HITS" ]; then
+  echo "AST interpreter referenced from a production path:"
+  echo "$ENGINE_HITS"
+  exit 1
+fi
+
 echo "== cargo build --release =="
 cargo build --release
 
@@ -46,10 +60,10 @@ echo "== shard-sweep smoke (N=2 fleet fingerprint vs N=1 and the unsharded run) 
 # workload, and the crashed shard migrates alone (experiments::shards).
 cargo test -q -p isp-bench --lib shards
 
-echo "== shard differential (pinned proptest seed, N in {1,2,4,8}, both backends) =="
+echo "== shard differential (pinned proptest seed, N in {1,2,4,8}, Range and Hash) =="
 cargo test -q --test shard_determinism
 
-echo "== thread determinism (pinned proptest seed, both backends, 1/2/8 threads) =="
+echo "== thread determinism (pinned proptest seed, VM vs reference interpreter, 1/2/8 threads) =="
 cargo test -q --test thread_determinism
 
 echo "== trace smoke (repro --trace -> trace summarizer -> golden journal diff) =="
@@ -98,7 +112,7 @@ echo "== decode smoke (both Eq.1 regimes present, placements beat forced plans, 
 # fingerprint (experiments::decode).
 cargo test -q -p isp-bench --lib decode
 
-echo "== decode determinism (proptest: wire formats x placements x faults x backends x shards) =="
+echo "== decode determinism (proptest: wire formats x placements x faults x shards) =="
 cargo test -q --test decode_determinism
 
 echo "== kill-resume smoke (journaled run killed mid-stream resumes to the same fingerprint) =="
@@ -124,7 +138,7 @@ if [ "$FULL_FP" != "$RESUMED_FP" ]; then
 fi
 echo "resumed fingerprint matches: $RESUMED_FP"
 
-echo "== crash-resume chaos (proptest: kill at random journal offsets, N in {1,4}, both backends) =="
+echo "== crash-resume chaos (proptest: kill at random journal offsets, N in {1,4}) =="
 cargo test -q --test wal_resume
 
 echo "== recovery benchmark smoke (journal overhead, resume, zero-datagen warm start) =="

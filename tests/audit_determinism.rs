@@ -2,11 +2,11 @@
 //! Prometheus exposition it feeds is byte-deterministic.
 //!
 //! 1. **Observation-only (property-tested)** — for random programs ×
-//!    random placements × fleet sizes N ∈ {1, 4} × pinned fault plans,
-//!    on both evaluation backends: running with a live tracer (the audit
-//!    substrate) leaves `values_fingerprint`, the injected-fault ledger,
-//!    every per-shard metrics snapshot, and every migration decision
-//!    byte-identical to the unaudited run.
+//!    random placements × fleet sizes N ∈ {1, 4} × pinned fault plans:
+//!    running with a live tracer (the audit substrate) leaves
+//!    `values_fingerprint`, the injected-fault ledger, every per-shard
+//!    metrics snapshot, and every migration decision byte-identical to
+//!    the unaudited run.
 //! 2. **Full-pipeline audit is observation-only** — the planned path
 //!    (plan → execute → `calibrate` → `publish_to`) reproduces the
 //!    unaudited fingerprint and run report for a real workload, and the
@@ -24,7 +24,7 @@ use alang::builtins::Storage;
 use alang::parser::parse;
 use alang::shard::{ShardMap, ShardStrategy};
 use alang::value::ArrayVal;
-use alang::{ExecBackend, Value};
+use alang::Value;
 use csd_sim::fault::FaultPlan;
 use csd_sim::{ContentionScenario, EngineKind, SystemConfig};
 use isp_obs::export::prometheus;
@@ -62,8 +62,8 @@ proptest! {
 
     /// Enabling the audit substrate (a live tracer) perturbs nothing the
     /// run computes: fingerprints, fault accounting, per-shard metrics,
-    /// and migration decisions all match the unaudited run, on both
-    /// backends, at every fleet size, faulted or clean.
+    /// and migration decisions all match the unaudited run, at every
+    /// fleet size, faulted or clean.
     #[test]
     fn audit_is_observation_only_across_fleets_and_faults(
         lines in common::lines(),
@@ -79,96 +79,94 @@ proptest! {
         let st = storage();
         let config = SystemConfig::paper_default();
 
-        for backend in [ExecBackend::Vm, ExecBackend::AstWalk] {
-            let plain_opts = ExecOptions::activepy().with_backend(backend);
-            let (tracer, _sink) = Tracer::to_memory();
-            let audited_opts = plain_opts.clone().with_tracer(tracer.clone());
+        let plain_opts = ExecOptions::activepy();
+        let (tracer, _sink) = Tracer::to_memory();
+        let audited_opts = plain_opts.clone().with_tracer(tracer.clone());
 
-            // Unsharded single device, clean.
-            let mut system = config.build();
-            let plain = execute(&program, &lowered, &st, &placements, None, None, &mut system, &plain_opts);
-            let mut system = config.build();
+        // Unsharded single device, clean.
+        let mut system = config.build();
+        let plain = execute(&program, &lowered, &st, &placements, None, None, &mut system, &plain_opts);
+        let mut system = config.build();
+        let audited =
+            execute(&program, &lowered, &st, &placements, None, None, &mut system, &audited_opts);
+        match (&plain, &audited) {
+            (Ok(p), Ok(a)) => {
+                prop_assert_eq!(
+                    a.values_fingerprint, p.values_fingerprint,
+                    "tracing moved the unsharded fingerprint for:\n{}", src
+                );
+                prop_assert_eq!(a.metrics, p.metrics);
+                prop_assert_eq!(
+                    format!("{:?}", a.migration),
+                    format!("{:?}", p.migration)
+                );
+            }
+            (Err(_), Err(_)) => {}
+            _ => {
+                return Err(TestCaseError::fail(format!(
+                    "tracing changed unsharded success for:\n{src}"
+                )));
+            }
+        }
+
+        // Fleets with per-shard fault plans.
+        for &n in &FLEET_SIZES {
+            let map = ShardMap::auto(&st, n, ShardStrategy::Range);
+            let faults: Vec<FaultPlan> =
+                (0..n).map(|s| params.plan_for_shard(s)).collect();
+            let run = FleetRun {
+                program: &program,
+                storage: &st,
+                map: &map,
+                lowered: &lowered,
+                lead_in_secs: 0.0,
+            };
+            let per_shard = vec![placements.clone(); n];
+            let plain =
+                execute_sharded(&run, &per_shard, None, &config, &plain_opts, &faults);
             let audited =
-                execute(&program, &lowered, &st, &placements, None, None, &mut system, &audited_opts);
-            match (&plain, &audited) {
+                execute_sharded(&run, &per_shard, None, &config, &audited_opts, &faults);
+            match (plain, audited) {
                 (Ok(p), Ok(a)) => {
                     prop_assert_eq!(
                         a.values_fingerprint, p.values_fingerprint,
-                        "tracing moved the unsharded fingerprint for:\n{}", src
+                        "tracing moved the N={} fingerprint for:\n{}", n, src
                     );
-                    prop_assert_eq!(a.metrics, p.metrics);
                     prop_assert_eq!(
-                        format!("{:?}", a.migration),
-                        format!("{:?}", p.migration)
+                        format!("{:?}", a.injected),
+                        format!("{:?}", p.injected),
+                        "tracing moved the injected-fault ledger for:\n{}", src
                     );
+                    prop_assert_eq!(a.shards.len(), p.shards.len());
+                    for (sa, sp) in a.shards.iter().zip(&p.shards) {
+                        prop_assert_eq!(
+                            sa.report.values_fingerprint,
+                            sp.report.values_fingerprint
+                        );
+                        prop_assert_eq!(sa.report.metrics, sp.report.metrics);
+                        prop_assert_eq!(
+                            format!("{:?}", &sa.report.migration),
+                            format!("{:?}", &sp.report.migration),
+                            "tracing moved a shard migration for:\n{}", src
+                        );
+                    }
                 }
                 (Err(_), Err(_)) => {}
                 _ => {
                     return Err(TestCaseError::fail(format!(
-                        "tracing changed unsharded success for:\n{src}"
+                        "tracing changed success at N={n} for:\n{src}"
                     )));
                 }
             }
+        }
 
-            // Fleets with per-shard fault plans.
-            for &n in &FLEET_SIZES {
-                let map = ShardMap::auto(&st, n, ShardStrategy::Range);
-                let faults: Vec<FaultPlan> =
-                    (0..n).map(|s| params.plan_for_shard(s)).collect();
-                let run = FleetRun {
-                    program: &program,
-                    storage: &st,
-                    map: &map,
-                    lowered: &lowered,
-                    lead_in_secs: 0.0,
-                };
-                let per_shard = vec![placements.clone(); n];
-                let plain =
-                    execute_sharded(&run, &per_shard, None, &config, &plain_opts, &faults);
-                let audited =
-                    execute_sharded(&run, &per_shard, None, &config, &audited_opts, &faults);
-                match (plain, audited) {
-                    (Ok(p), Ok(a)) => {
-                        prop_assert_eq!(
-                            a.values_fingerprint, p.values_fingerprint,
-                            "tracing moved the N={} fingerprint for:\n{}", n, src
-                        );
-                        prop_assert_eq!(
-                            format!("{:?}", a.injected),
-                            format!("{:?}", p.injected),
-                            "tracing moved the injected-fault ledger for:\n{}", src
-                        );
-                        prop_assert_eq!(a.shards.len(), p.shards.len());
-                        for (sa, sp) in a.shards.iter().zip(&p.shards) {
-                            prop_assert_eq!(
-                                sa.report.values_fingerprint,
-                                sp.report.values_fingerprint
-                            );
-                            prop_assert_eq!(sa.report.metrics, sp.report.metrics);
-                            prop_assert_eq!(
-                                format!("{:?}", &sa.report.migration),
-                                format!("{:?}", &sp.report.migration),
-                                "tracing moved a shard migration for:\n{}", src
-                            );
-                        }
-                    }
-                    (Err(_), Err(_)) => {}
-                    _ => {
-                        return Err(TestCaseError::fail(format!(
-                            "tracing changed success at N={n} for:\n{src}"
-                        )));
-                    }
-                }
-            }
-
-            // The audited registry renders to identical Prometheus bytes
-            // every time, and the exposition is structurally valid.
-            if let Some(snap) = tracer.metrics_snapshot() {
-                let once = prometheus::render(&snap);
-                let twice = prometheus::render(&snap);
-                prop_assert_eq!(&once, &twice, "Prometheus rendering is not a pure function");
-                prometheus::validate(&once).map_err(TestCaseError::fail)?;
-            }
+        // The audited registry renders to identical Prometheus bytes
+        // every time, and the exposition is structurally valid.
+        if let Some(snap) = tracer.metrics_snapshot() {
+            let once = prometheus::render(&snap);
+            let twice = prometheus::render(&snap);
+            prop_assert_eq!(&once, &twice, "Prometheus rendering is not a pure function");
+            prometheus::validate(&once).map_err(TestCaseError::fail)?;
         }
     }
 }

@@ -1,11 +1,11 @@
 //! Chaos differential: random programs × random placements × random
-//! deterministic fault plans, on both evaluation backends. The invariants
+//! deterministic fault plans. The invariants
 //! the recovering runtime must hold, for every draw:
 //!
 //! 1. **No unhandled faults** — with host fallback on (the default), a
 //!    faulted run succeeds exactly when its fault-free twin does.
 //! 2. **No wrong answers** — the values fingerprint of the faulted run is
-//!    byte-identical to the fault-free one, on both backends.
+//!    byte-identical to the fault-free one.
 //! 3. **Every hard fault is absorbed** — a crash or retry exhaustion
 //!    always surfaces as a `MigrationReason::DeviceFault` host fallback,
 //!    never as an error or a silent divergence.
@@ -17,7 +17,7 @@ use activepy::ActivePyError;
 use alang::builtins::Storage;
 use alang::parser::parse;
 use alang::value::ArrayVal;
-use alang::{ExecBackend, Value};
+use alang::Value;
 use csd_sim::fault::FaultPlan;
 use csd_sim::{EngineKind, FaultCounters, SystemConfig};
 use proptest::prelude::*;
@@ -50,16 +50,13 @@ fn storage() -> Storage {
 fn run_once(
     src: &str,
     placements: &[EngineKind],
-    backend: ExecBackend,
     faults: &FaultPlan,
 ) -> (Result<RunReport, ActivePyError>, FaultCounters) {
     let program = parse(src).expect("generated source parses");
     let lowered = alang::lower::lower(&program).expect("generated source lowers");
     let st = storage();
     let mut system = SystemConfig::paper_default().build();
-    let opts = ExecOptions::activepy()
-        .with_backend(backend)
-        .with_faults(faults.clone());
+    let opts = ExecOptions::activepy().with_faults(faults.clone());
     let res = execute(
         &program,
         &lowered,
@@ -88,53 +85,43 @@ proptest! {
             .collect();
         let clean_plan = FaultPlan::none();
 
-        let mut fingerprints = Vec::new();
-        for backend in [ExecBackend::Vm, ExecBackend::AstWalk] {
-            let (clean, _) = run_once(&src, &placements, backend, &clean_plan);
-            let (faulted, injected) = run_once(&src, &placements, backend, &faults);
-            match (clean, faulted) {
-                (Ok(clean), Ok(faulted)) => {
-                    // Invariant 2: byte-identical answers.
-                    prop_assert_eq!(
-                        clean.values_fingerprint, faulted.values_fingerprint,
-                        "faults changed the answer for:\n{}", src
-                    );
-                    fingerprints.push(clean.values_fingerprint);
-                    fingerprints.push(faulted.values_fingerprint);
-                    // Invariant 3: hard faults always resolve into a
-                    // device-fault migration, never an unhandled error.
-                    if faulted.metrics.recovery.hard_faults > 0 {
-                        let mig = faulted.migration.expect("hard fault must migrate");
-                        prop_assert_eq!(mig.reason, MigrationReason::DeviceFault);
-                        prop_assert!(faulted.metrics.recovery.fault_migrations >= 1);
-                    }
-                    // Invariant 4: recovery accounting matches injection.
-                    prop_assert_eq!(
-                        faulted.metrics.recovery.transient_faults,
-                        injected.transient_total(),
-                        "recovery layer missed injected faults for:\n{}", src
-                    );
-                    // A crash latches: once observed, nothing further runs
-                    // on the CSE, so at most one crash is ever counted.
-                    prop_assert!(injected.cse_crashes <= 1);
+        let (clean, _) = run_once(&src, &placements, &clean_plan);
+        let (faulted, injected) = run_once(&src, &placements, &faults);
+        match (clean, faulted) {
+            (Ok(clean), Ok(faulted)) => {
+                // Invariant 2: byte-identical answers.
+                prop_assert_eq!(
+                    clean.values_fingerprint, faulted.values_fingerprint,
+                    "faults changed the answer for:\n{}", src
+                );
+                // Invariant 3: hard faults always resolve into a
+                // device-fault migration, never an unhandled error.
+                if faulted.metrics.recovery.hard_faults > 0 {
+                    let mig = faulted.migration.expect("hard fault must migrate");
+                    prop_assert_eq!(mig.reason, MigrationReason::DeviceFault);
+                    prop_assert!(faulted.metrics.recovery.fault_migrations >= 1);
                 }
-                (Err(_), Err(_)) => {
-                    // Invalid programs (reads of undefined names) fail
-                    // with or without faults; nothing further to check.
-                }
-                (clean, faulted) => {
-                    // Invariant 1 violated.
-                    return Err(TestCaseError::fail(format!(
-                        "fault injection changed success for:\n{src}\n\
-                         clean: {clean:?}\nfaulted: {faulted:?}"
-                    )));
-                }
+                // Invariant 4: recovery accounting matches injection.
+                prop_assert_eq!(
+                    faulted.metrics.recovery.transient_faults,
+                    injected.transient_total(),
+                    "recovery layer missed injected faults for:\n{}", src
+                );
+                // A crash latches: once observed, nothing further runs
+                // on the CSE, so at most one crash is ever counted.
+                prop_assert!(injected.cse_crashes <= 1);
+            }
+            (Err(_), Err(_)) => {
+                // Invalid programs (reads of undefined names) fail
+                // with or without faults; nothing further to check.
+            }
+            (clean, faulted) => {
+                // Invariant 1 violated.
+                return Err(TestCaseError::fail(format!(
+                    "fault injection changed success for:\n{src}\n\
+                     clean: {clean:?}\nfaulted: {faulted:?}"
+                )));
             }
         }
-        // Both backends, faulted and clean, agree on the one answer.
-        prop_assert!(
-            fingerprints.windows(2).all(|w| w[0] == w[1]),
-            "backends diverged for:\n{}\n{:?}", src, fingerprints
-        );
     }
 }

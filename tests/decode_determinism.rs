@@ -1,12 +1,12 @@
 //! Decode differential: random wire formats × random placements × pinned
-//! fault plans × both evaluation backends × every fleet size. One decode
+//! fault plans × every fleet size. One decode
 //! pipeline, one answer.
 //!
 //! The program is fixed — a scan_raw→decode→filter→aggregate pipeline
 //! over two encoded datasets — and everything around it is drawn:
 //! each dataset's codec / shuffle / byte order / fill sentinel, the
-//! per-line host-or-CSD placement, the per-device fault stream, the
-//! evaluation backend, and the shard count. Every combination must
+//! per-line host-or-CSD placement, the per-device fault stream, and the
+//! shard count. Every combination must
 //! produce the clean unsharded reference's `values_fingerprint`: wire
 //! decoding is bit-exact everywhere or it is not a storage format.
 
@@ -16,7 +16,7 @@ use alang::builtins::Storage;
 use alang::parser::parse;
 use alang::shard::{ShardMap, ShardStrategy};
 use alang::value::EncodedVal;
-use alang::{ExecBackend, Value};
+use alang::Value;
 use csd_sim::fault::FaultPlan;
 use csd_sim::units::SimTime;
 use csd_sim::wire::{ByteOrder, Codec, Encoding};
@@ -116,8 +116,8 @@ proptest! {
         let st = storage(enc_a, enc_b);
         let config = SystemConfig::paper_default();
 
-        // The clean unsharded all-host reference: placement, faults,
-        // backend, and sharding must never move a bit of the answer.
+        // The clean unsharded all-host reference: placement, faults, and
+        // sharding must never move a bit of the answer.
         let reference = {
             let mut system = config.build();
             let host = vec![EngineKind::Host; program.len()];
@@ -126,52 +126,50 @@ proptest! {
             .values_fingerprint
         };
 
-        for backend in [ExecBackend::Vm, ExecBackend::AstWalk] {
-            let opts = ExecOptions::activepy().with_backend(backend);
+        let opts = ExecOptions::activepy();
 
-            let mut system = config.build();
-            let placed = execute(&program, &lowered, &st, &placements, None, None, &mut system, &opts).expect("placed run");
+        let mut system = config.build();
+        let placed = execute(&program, &lowered, &st, &placements, None, None, &mut system, &opts).expect("placed run");
+        prop_assert_eq!(
+            placed.values_fingerprint, reference,
+            "placement moved the answer\na: {:?}\nb: {:?}",
+            enc_a, enc_b
+        );
+
+        for &n in &SHARD_COUNTS {
+            let map = ShardMap::auto(&st, n, shard_strategy);
+            let faults: Vec<FaultPlan> = (0..n)
+                .map(|s| {
+                    let mut plan = FaultPlan::none()
+                        .with_seed(seed.wrapping_mul(31).wrapping_add(s as u64))
+                        .with_flash_read_error_prob(flash)
+                        .with_nvme_error_prob(nvme);
+                    if let Some(at) = crash {
+                        plan = plan.with_crash_at(SimTime::from_secs(at));
+                    }
+                    plan
+                })
+                .collect();
+            let run = FleetRun {
+                program: &program,
+                storage: &st,
+                map: &map,
+                lowered: &lowered,
+                lead_in_secs: 0.0,
+            };
+            let faulted = execute_sharded(
+                &run, &vec![placements.clone(); n], None, &config, &opts, &faults,
+            ).expect("sharded faulted run");
             prop_assert_eq!(
-                placed.values_fingerprint, reference,
-                "placement moved the answer on {:?}\na: {:?}\nb: {:?}",
-                backend, enc_a, enc_b
+                faulted.values_fingerprint, reference,
+                "N={} faulted fleet diverged\na: {:?}\nb: {:?}",
+                n, enc_a, enc_b
             );
-
-            for &n in &SHARD_COUNTS {
-                let map = ShardMap::auto(&st, n, shard_strategy);
-                let faults: Vec<FaultPlan> = (0..n)
-                    .map(|s| {
-                        let mut plan = FaultPlan::none()
-                            .with_seed(seed.wrapping_mul(31).wrapping_add(s as u64))
-                            .with_flash_read_error_prob(flash)
-                            .with_nvme_error_prob(nvme);
-                        if let Some(at) = crash {
-                            plan = plan.with_crash_at(SimTime::from_secs(at));
-                        }
-                        plan
-                    })
-                    .collect();
-                let run = FleetRun {
-                    program: &program,
-                    storage: &st,
-                    map: &map,
-                    lowered: &lowered,
-                    lead_in_secs: 0.0,
-                };
-                let faulted = execute_sharded(
-                    &run, &vec![placements.clone(); n], None, &config, &opts, &faults,
-                ).expect("sharded faulted run");
-                prop_assert_eq!(
-                    faulted.values_fingerprint, reference,
-                    "N={} faulted fleet diverged on {:?}\na: {:?}\nb: {:?}",
-                    n, backend, enc_a, enc_b
-                );
-                prop_assert_eq!(
-                    faulted.recovered_transients(),
-                    faulted.injected.transient_total(),
-                    "recovery accounting missed faults"
-                );
-            }
+            prop_assert_eq!(
+                faulted.recovered_transients(),
+                faulted.injected.transient_total(),
+                "recovery accounting missed faults"
+            );
         }
     }
 }

@@ -2,10 +2,9 @@
 //! availability traces may steer *where* lines run — host-ward under a
 //! burst, device-ward on reclaim, or to a different assignment after a
 //! refit — but never *what* they compute. Random programs run under
-//! random burst/recovery traces on both evaluation backends through the
-//! full feedback loop (cold plan → monitored recording run → refit →
-//! re-planned run) and every cell must report the uncontended
-//! reference's `values_fingerprint`. The refitted plan must also honor
+//! random burst/recovery traces through the full feedback loop (cold
+//! plan → monitored recording run → refit → re-planned run) and every
+//! cell must report the uncontended reference's `values_fingerprint`. The refitted plan must also honor
 //! the warm-never-worse contract: under the blended cost model its
 //! modelled sim-time never exceeds the cold assignment's.
 
@@ -15,7 +14,7 @@ use activepy::{InputSource, PlanCache};
 use alang::builtins::Storage;
 use alang::parser::parse;
 use alang::value::ArrayVal;
-use alang::{ExecBackend, Value};
+use alang::Value;
 use csd_sim::units::SimTime;
 use csd_sim::{ContentionScenario, SystemConfig};
 use proptest::prelude::*;
@@ -109,84 +108,75 @@ proptest! {
         let program = parse(&src).expect("generated source parses");
         let config = SystemConfig::paper_default();
 
-        // Fingerprints from every cell of every backend; all equal.
+        // Fingerprints from every cell; all equal.
         let mut fingerprints: Vec<(String, u64)> = Vec::new();
-        for backend in [ExecBackend::Vm, ExecBackend::AstWalk] {
-            let cache = PlanCache::new();
-            let static_rt = ActivePy::with_options(
-                ActivePyOptions::default()
-                    .without_migration()
-                    .with_backend(backend),
-            );
-            // Programs whose sampling runs fail (e.g. sqrt of a boolean
-            // mask comparison chain that errors) can't be planned; both
-            // backends fail identically, so skipping here discards the
-            // whole case.
-            let Ok(cold) = cache.plan_for(&static_rt, "prop", &program, &input(), &config)
-            else {
-                return Ok(());
-            };
-            let clean = static_rt
-                .execute_plan(&cold, &config, ContentionScenario::none())
-                .expect("planned programs run");
-            // Burst and recovery land at random points of the clean run.
-            let total = clean.report.total_secs;
-            let drop_at = drop_frac * total;
-            let recover_at = drop_at + recover_span * (total - drop_at).max(1e-6);
-            let scenario =
-                ContentionScenario::at_time(SimTime::from_secs(drop_at), burst)
-                    .with_recovery_at(SimTime::from_secs(recover_at));
+        let cache = PlanCache::new();
+        let static_rt = ActivePy::with_options(ActivePyOptions::default().without_migration());
+        // Programs whose sampling runs fail (e.g. sqrt of a boolean
+        // mask comparison chain that errors) can't be planned, so
+        // skipping here discards the whole case.
+        let Ok(cold) = cache.plan_for(&static_rt, "prop", &program, &input(), &config)
+        else {
+            return Ok(());
+        };
+        let clean = static_rt
+            .execute_plan(&cold, &config, ContentionScenario::none())
+            .expect("planned programs run");
+        // Burst and recovery land at random points of the clean run.
+        let total = clean.report.total_secs;
+        let drop_at = drop_frac * total;
+        let recover_at = drop_at + recover_span * (total - drop_at).max(1e-6);
+        let scenario =
+            ContentionScenario::at_time(SimTime::from_secs(drop_at), burst)
+                .with_recovery_at(SimTime::from_secs(recover_at));
 
-            let static_run = static_rt
-                .execute_plan(&cold, &config, scenario)
-                .expect("static run");
-            let monitored_rt = ActivePy::with_options(
-                ActivePyOptions::default()
-                    .with_backend(backend)
-                    .with_profile(cache.recorder_for(&static_rt, "prop", &input(), &config)),
-            );
-            let monitored = monitored_rt
-                .execute_plan(&cold, &config, scenario)
-                .expect("monitored run");
+        let static_run = static_rt
+            .execute_plan(&cold, &config, scenario)
+            .expect("static run");
+        let monitored_rt = ActivePy::with_options(
+            ActivePyOptions::default()
+                .with_profile(cache.recorder_for(&static_rt, "prop", &input(), &config)),
+        );
+        let monitored = monitored_rt
+            .execute_plan(&cold, &config, scenario)
+            .expect("monitored run");
 
-            // The recorded profile is newer than the cached plan, so this
-            // lookup refits.
-            let replan_rt =
-                ActivePy::with_options(ActivePyOptions::default().with_backend(backend));
-            let warm = cache
-                .plan_for(&replan_rt, "prop", &program, &input(), &config)
-                .expect("refit succeeds");
-            prop_assert_eq!(
-                cache.stats().refits, 1,
-                "one recorded run must trigger exactly one refit for:\n{}", src
-            );
-            let replanned = replan_rt
-                .execute_plan(&warm, &config, scenario)
-                .expect("re-planned run");
+        // The recorded profile is newer than the cached plan, so this
+        // lookup refits.
+        let replan_rt = ActivePy::new();
+        let warm = cache
+            .plan_for(&replan_rt, "prop", &program, &input(), &config)
+            .expect("refit succeeds");
+        prop_assert_eq!(
+            cache.stats().refits, 1,
+            "one recorded run must trigger exactly one refit for:\n{}", src
+        );
+        let replanned = replan_rt
+            .execute_plan(&warm, &config, scenario)
+            .expect("re-planned run");
 
-            // Warm-never-worse, under the model both plans now share: the
-            // refit evaluated the cold assignment as a candidate, so its
-            // pick can't project slower than the cold placements do.
-            let bw = config.d2h_bandwidth().as_bytes_per_sec();
-            let prior_placements = cold.assignment.placements(program.len());
-            let prior_cost = projected_cost(&program, &warm.estimates, &prior_placements, bw);
-            prop_assert!(
-                warm.assignment.t_csd <= prior_cost + 1e-9,
-                "refit regressed the modelled sim-time: warm {} vs cold-under-warm-model {} for:\n{}",
-                warm.assignment.t_csd, prior_cost, src
-            );
+        // Warm-never-worse, under the model both plans now share: the
+        // refit evaluated the cold assignment as a candidate, so its
+        // pick can't project slower than the cold placements do.
+        let bw = config.d2h_bandwidth().as_bytes_per_sec();
+        let prior_placements = cold.assignment.placements(program.len());
+        let prior_cost = projected_cost(&program, &warm.estimates, &prior_placements, bw);
+        prop_assert!(
+            warm.assignment.t_csd <= prior_cost + 1e-9,
+            "refit regressed the modelled sim-time: warm {} vs cold-under-warm-model {} for:\n{}",
+            warm.assignment.t_csd, prior_cost, src
+        );
 
-            for (cell, outcome) in [
-                ("clean", &clean),
-                ("static", &static_run),
-                ("monitored", &monitored),
-                ("replanned", &replanned),
-            ] {
-                fingerprints.push((
-                    format!("{backend:?}/{cell}"),
-                    outcome.report.values_fingerprint,
-                ));
-            }
+        for (cell, outcome) in [
+            ("clean", &clean),
+            ("static", &static_run),
+            ("monitored", &monitored),
+            ("replanned", &replanned),
+        ] {
+            fingerprints.push((
+                cell.to_owned(),
+                outcome.report.values_fingerprint,
+            ));
         }
         let (first_tag, first_fp) = fingerprints[0].clone();
         for (tag, fp) in &fingerprints[1..] {

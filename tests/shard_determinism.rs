@@ -1,9 +1,9 @@
 //! Shard differential: random programs × random placements × every fleet
-//! size × pinned per-shard fault plans, on both evaluation backends. The
-//! invariants the scatter-gather fleet must hold, for every draw:
+//! size × pinned per-shard fault plans. The invariants the scatter-gather
+//! fleet must hold, for every draw:
 //!
 //! 1. **One answer** — every fleet size N ∈ {1, 2, 4, 8}, sharded by
-//!    range or hash, faulted or clean, on either backend, produces the
+//!    range or hash, faulted or clean, produces the
 //!    same `values_fingerprint` as the unsharded single-device run.
 //! 2. **Consistent failure** — a program that errors unsharded (reads of
 //!    undefined names) errors at every fleet size too.
@@ -20,7 +20,7 @@ use alang::builtins::Storage;
 use alang::parser::parse;
 use alang::shard::{ShardMap, ShardStrategy};
 use alang::value::ArrayVal;
-use alang::{ExecBackend, Value};
+use alang::Value;
 use csd_sim::fault::FaultPlan;
 use csd_sim::{EngineKind, SystemConfig};
 use proptest::prelude::*;
@@ -77,72 +77,70 @@ proptest! {
         let st = storage();
         let config = SystemConfig::paper_default();
 
-        for backend in [ExecBackend::Vm, ExecBackend::AstWalk] {
-            let opts = ExecOptions::activepy().with_backend(backend);
+        let opts = ExecOptions::activepy();
 
-            // The unsharded single-device reference.
-            let mut system = config.build();
-            let reference = execute(&program, &lowered, &st, &placements, None, None, &mut system, &opts);
+        // The unsharded single-device reference.
+        let mut system = config.build();
+        let reference = execute(&program, &lowered, &st, &placements, None, None, &mut system, &opts);
 
-            for &n in &SHARD_COUNTS {
-                let map = ShardMap::auto(&st, n, shard_strategy);
-                prop_assert_eq!(map.count(), n);
-                let faults: Vec<FaultPlan> =
-                    (0..n).map(|s| params.plan_for_shard(s)).collect();
-                let run = FleetRun {
-                    program: &program,
-                    storage: &st,
-                    map: &map,
-                    lowered: &lowered,
-                    lead_in_secs: 0.0,
-                };
-                let per_shard = vec![placements.clone(); n];
-                let clean = execute_sharded(&run, &per_shard, None, &config, &opts, &[]);
-                let faulted = execute_sharded(&run, &per_shard, None, &config, &opts, &faults);
-                match (&reference, clean, faulted) {
-                    (Ok(reference), Ok(clean), Ok(faulted)) => {
-                        // Invariant 1: one answer everywhere.
-                        prop_assert_eq!(
-                            clean.values_fingerprint,
-                            reference.values_fingerprint,
-                            "clean N={} diverged for:\n{}", n, src
-                        );
-                        prop_assert_eq!(
-                            faulted.values_fingerprint,
-                            reference.values_fingerprint,
-                            "faulted N={} diverged for:\n{}", n, src
-                        );
-                        // Invariant 3: fleet-wide recovery accounting
-                        // matches what the injectors delivered.
-                        prop_assert_eq!(
-                            faulted.recovered_transients(),
-                            faulted.injected.transient_total(),
-                            "recovery accounting missed faults for:\n{}", src
-                        );
-                        prop_assert_eq!(clean.injected.transient_total(), 0);
-                        // Invariant 4: a crash latches per device.
-                        prop_assert!(faulted.injected.cse_crashes <= n as u64);
-                        for shard in &faulted.shards {
-                            if shard.report.metrics.recovery.hard_faults > 0 {
-                                prop_assert!(
-                                    shard.report.migration.is_some(),
-                                    "shard {} absorbed a hard fault without \
-                                     migrating for:\n{}", shard.shard, src
-                                );
-                            }
+        for &n in &SHARD_COUNTS {
+            let map = ShardMap::auto(&st, n, shard_strategy);
+            prop_assert_eq!(map.count(), n);
+            let faults: Vec<FaultPlan> =
+                (0..n).map(|s| params.plan_for_shard(s)).collect();
+            let run = FleetRun {
+                program: &program,
+                storage: &st,
+                map: &map,
+                lowered: &lowered,
+                lead_in_secs: 0.0,
+            };
+            let per_shard = vec![placements.clone(); n];
+            let clean = execute_sharded(&run, &per_shard, None, &config, &opts, &[]);
+            let faulted = execute_sharded(&run, &per_shard, None, &config, &opts, &faults);
+            match (&reference, clean, faulted) {
+                (Ok(reference), Ok(clean), Ok(faulted)) => {
+                    // Invariant 1: one answer everywhere.
+                    prop_assert_eq!(
+                        clean.values_fingerprint,
+                        reference.values_fingerprint,
+                        "clean N={} diverged for:\n{}", n, src
+                    );
+                    prop_assert_eq!(
+                        faulted.values_fingerprint,
+                        reference.values_fingerprint,
+                        "faulted N={} diverged for:\n{}", n, src
+                    );
+                    // Invariant 3: fleet-wide recovery accounting
+                    // matches what the injectors delivered.
+                    prop_assert_eq!(
+                        faulted.recovered_transients(),
+                        faulted.injected.transient_total(),
+                        "recovery accounting missed faults for:\n{}", src
+                    );
+                    prop_assert_eq!(clean.injected.transient_total(), 0);
+                    // Invariant 4: a crash latches per device.
+                    prop_assert!(faulted.injected.cse_crashes <= n as u64);
+                    for shard in &faulted.shards {
+                        if shard.report.metrics.recovery.hard_faults > 0 {
+                            prop_assert!(
+                                shard.report.migration.is_some(),
+                                "shard {} absorbed a hard fault without \
+                                 migrating for:\n{}", shard.shard, src
+                            );
                         }
                     }
-                    (Err(_), Err(_), Err(_)) => {
-                        // Invariant 2: invalid programs fail at every
-                        // fleet size, faulted or not.
-                    }
-                    (reference, clean, faulted) => {
-                        return Err(TestCaseError::fail(format!(
-                            "sharding changed success at N={n} for:\n{src}\n\
-                             reference: {reference:?}\nclean: {clean:?}\n\
-                             faulted: {faulted:?}"
-                        )));
-                    }
+                }
+                (Err(_), Err(_), Err(_)) => {
+                    // Invariant 2: invalid programs fail at every
+                    // fleet size, faulted or not.
+                }
+                (reference, clean, faulted) => {
+                    return Err(TestCaseError::fail(format!(
+                        "sharding changed success at N={n} for:\n{src}\n\
+                         reference: {reference:?}\nclean: {clean:?}\n\
+                         faulted: {faulted:?}"
+                    )));
                 }
             }
         }

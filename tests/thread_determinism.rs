@@ -1,8 +1,8 @@
 //! Thread-count determinism: the data-parallel kernel engine must be
 //! invisible in every output. Random programs run at 1, 2, and 8 worker
-//! threads on both evaluation backends and must produce byte-identical
-//! values, identical `LineCost` streams, and identical values
-//! fingerprints — the chunk grid depends only on data shape and reduction
+//! threads on the VM and the reference interpreter and must produce
+//! byte-identical values, identical `LineCost` streams, and identical
+//! values fingerprints — the chunk grid depends only on data shape and reduction
 //! partials combine in chunk-index order, so the schedule can never leak
 //! into a result. A pinned fault plan on top must not change that.
 
@@ -11,7 +11,7 @@ use alang::builtins::Storage;
 use alang::interp::Interpreter;
 use alang::parser::parse;
 use alang::value::ArrayVal;
-use alang::{ExecBackend, ParallelPolicy, Value, Vm};
+use alang::{ParallelPolicy, Value, Vm};
 use csd_sim::fault::FaultPlan;
 use csd_sim::units::{Duration, SimTime};
 use csd_sim::{EngineKind, SystemConfig};
@@ -64,7 +64,8 @@ proptest! {
         let lowered = alang::lower::lower_with(&program, &flags).expect("lowers");
         let st = storage();
 
-        // (records, per-var debug+bytes) per (backend, thread count); all
+        // (records, per-var debug+bytes) per thread count, each checked
+        // against the reference interpreter at that count; all
         // cells must be equal.
         let mut reference: Option<(String, String)> = None;
         for threads in THREADS {
@@ -115,7 +116,7 @@ proptest! {
 
 /// A fixed mixed-placement program whose kernels all chunk under the test
 /// policy, replayed fault-free and under a pinned fault plan at every
-/// thread count on both backends: one `values_fingerprint`, one `LineCost`
+/// thread count: one `values_fingerprint`, one `LineCost`
 /// stream, regardless of schedule or injected faults.
 #[test]
 fn pinned_faults_and_parallel_kernels_replay_bit_exactly() {
@@ -144,49 +145,43 @@ fn pinned_faults_and_parallel_kernels_replay_bit_exactly() {
 
     // Fingerprints must agree across *everything*; LineCost streams only
     // within a fault plan (injected retries legitimately shift the
-    // simulated per-line timings), where thread count and backend still
-    // must not move them.
+    // simulated per-line timings), where thread count still must not
+    // move them.
     let mut fingerprints = Vec::new();
     for faults in [FaultPlan::none(), pinned] {
         let mut cells = Vec::new();
-        for backend in [ExecBackend::Vm, ExecBackend::AstWalk] {
-            for threads in THREADS {
-                let st = storage();
-                let mut system = SystemConfig::paper_default().build();
-                let opts = ExecOptions::activepy()
-                    .with_backend(backend)
-                    .with_faults(faults.clone())
-                    .with_parallelism(policy(threads));
-                let report = execute(
-                    &program,
-                    &lowered,
-                    &st,
-                    &placements,
-                    None,
-                    None,
-                    &mut system,
-                    &opts,
-                )
-                .expect("fixed program runs");
-                assert_eq!(
-                    report.parallel,
-                    policy(threads),
-                    "policy lands in the report"
+        for threads in THREADS {
+            let st = storage();
+            let mut system = SystemConfig::paper_default().build();
+            let opts = ExecOptions::activepy()
+                .with_faults(faults.clone())
+                .with_parallelism(policy(threads));
+            let report = execute(
+                &program,
+                &lowered,
+                &st,
+                &placements,
+                None,
+                None,
+                &mut system,
+                &opts,
+            )
+            .expect("fixed program runs");
+            assert_eq!(
+                report.parallel,
+                policy(threads),
+                "policy lands in the report"
+            );
+            if threads > 1 {
+                assert!(
+                    report.metrics.par.par_calls > 0,
+                    "chunked execution must engage at {threads} threads"
                 );
-                if threads > 1 {
-                    assert!(
-                        report.metrics.par.par_calls > 0,
-                        "chunked execution must engage at {threads} threads"
-                    );
-                }
-                // Whole reports differ across cells (policy and chunk
-                // counters are recorded); the *answer* may not.
-                fingerprints.push(report.values_fingerprint);
-                cells.push((
-                    format!("{:?}", report.lines),
-                    format!("{backend:?}/{threads}"),
-                ));
             }
+            // Whole reports differ across cells (policy and chunk
+            // counters are recorded); the *answer* may not.
+            fingerprints.push(report.values_fingerprint);
+            cells.push((format!("{:?}", report.lines), format!("{threads} threads")));
         }
         let (first_lines, first_tag) = cells[0].clone();
         for (lines, tag) in &cells[1..] {

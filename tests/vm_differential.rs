@@ -76,3 +76,54 @@ proptest! {
         }
     }
 }
+
+/// Every registered workload, end to end on the two engines: at the
+/// largest sampling scale and at full scale, with copy elimination off
+/// and with the planner's `eliminable_lines` flags, the VM's line records
+/// and every variable's value and `var_bytes` equal the reference
+/// interpreter's. The generator above reaches only a few builtins; this
+/// is the check that covers `matmul`, `spmv`, `group_sum`,
+/// `forest_score`, `kmeans_*` and the decode kernels.
+#[test]
+fn every_workload_agrees_across_engines() {
+    use activepy::sampling::{observe_dataset_types, paper_scales};
+    use alang::copyelim::eliminable_lines;
+    use isp_obs::Fingerprint;
+
+    let sampling_scale = *paper_scales().last().expect("four scales");
+    for w in isp_workloads::full_set() {
+        let program = w.program().expect("registered workloads parse");
+        let types = observe_dataset_types(&w.storage_at(sampling_scale));
+        let planned = eliminable_lines(&program, &types);
+        assert!(
+            planned.iter().any(|e| *e),
+            "{}: the planner eliminates no copy",
+            w.name()
+        );
+        for scale in [sampling_scale, 1.0] {
+            let st = w.storage_at(scale);
+            for flags in [&[][..], &planned[..]] {
+                let mut interp = Interpreter::new(&st);
+                let ast = interp.run(&program, flags).expect("reference run");
+                let lowered = alang::lower::lower_with(&program, flags).expect("lowers");
+                let mut vm = Vm::new(&lowered, &st);
+                let records = vm.run().expect("vm run");
+                let case = format!("{} at scale {scale}, flags {flags:?}", w.name());
+                assert_eq!(ast, records, "{case}: line records diverged");
+                for line in program.lines() {
+                    let name = line.target.as_str();
+                    assert_eq!(
+                        interp.var(name).map(Fingerprint::fingerprint),
+                        vm.var(name).map(Fingerprint::fingerprint),
+                        "{case}: variable `{name}` diverged"
+                    );
+                    assert_eq!(
+                        interp.var_bytes(name),
+                        vm.var_bytes(name),
+                        "{case}: `{name}`"
+                    );
+                }
+            }
+        }
+    }
+}
